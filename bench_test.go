@@ -155,31 +155,10 @@ func BenchmarkStreamPack(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateParallel is BenchmarkSimulate under the split rng
-// discipline (RngMode=split): per-event substreams drawn on the worker
-// pool, mutations applied in canonical order.  The ratio to
-// BenchmarkSimulate is the multicore speedup of the day-phase
-// scheduler; on one core it pins the overhead of batching and
-// substream reseeding instead (ci/benchdiff.sh asserts the multi-core
-// ratio only when cores are actually available).
-func BenchmarkSimulateParallel(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := gplus.DefaultConfig()
-		cfg.DailyBase = 100
-		cfg.Seed = uint64(i + 1)
-		cfg.RngMode = gplus.RngSplit
-		if _, _, err := gplus.New(cfg).RunTimelines(nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchStreamPackBoth is the full+view streamed pack — the `sangen
-// sweep` / workspace configuration, where per-day post-processing
-// (crawl-view construction + two delta encodes) is heavy enough that
-// overlapping it with simulation pays.
-func benchStreamPackBoth(b *testing.B, pipelined bool) {
+// BenchmarkStreamPackBoth is the full+view streamed pack — the `sangen
+// sweep` / workspace configuration: simulate, build the crawl view, and
+// delta-encode both timelines to on-disk StreamWriters on one goroutine.
+func BenchmarkStreamPackBoth(b *testing.B) {
 	dir := b.TempDir()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -194,13 +173,7 @@ func benchStreamPackBoth(b *testing.B, pipelined bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim := gplus.New(cfg)
-		if pipelined {
-			err = sim.StreamTimelinesPipelined(1, 0, full, view, nil, nil)
-		} else {
-			err = sim.StreamTimelines(1, 0, full, view, nil)
-		}
-		if err != nil {
+		if err := gplus.New(cfg).StreamTimelines(1, 0, full, view, nil); err != nil {
 			b.Fatal(err)
 		}
 		if err := full.Finalize(); err != nil {
@@ -211,20 +184,6 @@ func benchStreamPackBoth(b *testing.B, pipelined bool) {
 		}
 	}
 }
-
-// BenchmarkStreamPackBoth is the sequential full+view baseline:
-// simulate, build the crawl view, and delta-encode both timelines on
-// one goroutine.
-func BenchmarkStreamPackBoth(b *testing.B) { benchStreamPackBoth(b, false) }
-
-// BenchmarkStreamPackPipelined is BenchmarkStreamPackBoth through
-// StreamTimelinesPipelined: day N+1 simulates while day N's crawl view
-// builds and both timelines encode behind the handoff channels.  The
-// output bytes are identical; the ratio to BenchmarkStreamPackBoth is
-// the pipelining win (ci/benchdiff.sh asserts >= 1.3x when the CI box
-// has >= 4 cores — on one core the extra day-boundary Clone makes it a
-// controlled loss instead).
-func BenchmarkStreamPackPipelined(b *testing.B) { benchStreamPackBoth(b, true) }
 
 // BenchmarkSweep measures the parallel scenario sweep end to end:
 // simulate, pack, and write a two-scenario workspace (the `sangen

@@ -35,11 +35,9 @@ SANSERVE_BENCHES='^(BenchmarkCachedFigureRequest|BenchmarkCachedCompareRequest|B
 # on-disk timeline, the `sangen -stream-out` kernel; BenchmarkSweep:
 # the parallel scenario sweep).  The recompute twin is benchmarked too
 # so the committed baseline documents the fold's speedup ratio and a
-# regression in either path trips the gate.  SimulateParallel is the
-# split-RNG simulator; StreamPackBoth/StreamPackPipelined are the
-# full+view stream sequential/pipelined pair whose ratio the multicore
-# gate below asserts.
-ROOT_BENCHES='^(BenchmarkDatasetBuild|BenchmarkDatasetBuildRecompute|BenchmarkSimulate|BenchmarkSimulateParallel|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkStreamPackPipelined|BenchmarkSweep)$'
+# regression in either path trips the gate.  StreamPackBoth is the
+# full+view stream (simulate, crawl view, two delta encodes).
+ROOT_BENCHES='^(BenchmarkDatasetBuild|BenchmarkDatasetBuildRecompute|BenchmarkSimulate|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkSweep)$'
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
@@ -125,31 +123,6 @@ if [ -n "$failing" ]; then
   done
   echo "benchdiff: FAILED"
   exit 1
-fi
-
-# Multicore pipelining gate: the full+view pipelined stream must beat
-# its sequential twin by PIPE_RATIO on a real multicore box.  The win
-# is genuine overlap (day N+1 simulates while day N's view builds and
-# both timelines encode), so it only exists with spare cores — on
-# fewer than 4 the extra day-boundary Clone makes pipelining a known,
-# documented loss and the ratio check is skipped rather than faked.
-PIPE_RATIO=${BENCHDIFF_PIPE_RATIO:-1.3}
-cores=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-if [ "$cores" -ge 4 ]; then
-  seq_ns=$(echo "$current" | awk '$1 == "BenchmarkStreamPackBoth" { print $2 }')
-  pip_ns=$(echo "$current" | awk '$1 == "BenchmarkStreamPackPipelined" { print $2 }')
-  if [ -n "$seq_ns" ] && [ -n "$pip_ns" ]; then
-    if awk -v s="$seq_ns" -v p="$pip_ns" -v r="$PIPE_RATIO" 'BEGIN {
-      ratio = s / p
-      printf "benchdiff: pipelined stream speedup %.2fx over sequential (want >= %.1fx on %s)\n", ratio, r, "'"$cores"' cores"
-      exit (ratio >= r) ? 0 : 1
-    }'; then :; else
-      echo "benchdiff: FAILED (pipelined full+view stream under ${PIPE_RATIO}x sequential on $cores cores)"
-      exit 1
-    fi
-  fi
-else
-  echo "benchdiff: skipping pipelined-speedup ratio gate ($cores core(s) < 4; overlap needs spare cores)"
 fi
 
 echo "benchdiff: OK (threshold ${THRESHOLD}%, best of $attempt attempt(s))"

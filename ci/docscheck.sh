@@ -1,12 +1,15 @@
 #!/bin/sh
 # docscheck: fail if README.md or DESIGN.md reference a package,
-# binary, or CLI flag that no longer exists in the tree.
+# binary, CLI flag, test or benchmark that no longer exists in the tree.
 #
-# Two checks:
+# Four checks:
 #   1. every internal/<pkg>, cmd/<bin>, examples/<name> path mentioned
 #      in the docs must be a directory;
 #   2. every `-flag` token on a doc line that names a cmd/ binary must
-#      be defined (as a quoted flag name) in that binary's source.
+#      be defined (as a quoted flag name) in that binary's source;
+#   3. every backtick-quoted `-flag` must be defined by some cmd/ binary;
+#   4. every Test*, Benchmark* or Fuzz* name must be defined by some
+#      _test.go file.
 #
 # Run from the repository root: sh ci/docscheck.sh
 set -u
@@ -50,6 +53,14 @@ for flagtok in $(grep -ohE '`-[a-z][a-z0-9]*(-[a-z0-9]+)*`' $docs | tr -d '`' | 
   name=${flagtok#-}
   if ! grep -qE "\"$name\"" cmd/*/*.go; then
     echo "docscheck: docs mention flag -$name but no cmd/ binary defines it"
+    fail=1
+  fi
+done
+
+# --- 4: test, benchmark and fuzz target names ---------------------
+for name in $(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' $docs | sort -u); do
+  if ! grep -rqE "^func $name\(" --include='*_test.go' --exclude-dir=.bench_build .; then
+    echo "docscheck: docs mention $name but no _test.go file defines it"
     fail=1
   fi
 done

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,24 +42,49 @@ import (
 )
 
 func main() {
+	var err error
 	if len(os.Args) > 1 && os.Args[1] == "sweep" {
-		if err := runSweep(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "sangen:", err)
-			os.Exit(1)
-		}
-		return
+		err = runSweep(os.Args[2:], os.Stdout)
+	} else {
+		err = runGenerate(os.Args[1:], os.Stdout)
 	}
-	if err := runGenerate(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "sangen:", err)
-		os.Exit(1)
+	os.Exit(exitCode(err))
+}
+
+// exitCode maps a run's error to the process exit status: 0 for success
+// and -h, 2 for a flag parse error (the flag package already printed it
+// with the usage), and 1 for a run failure, printed here.
+func exitCode(err error) int {
+	var fe flagError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &fe):
+		return 2
 	}
+	fmt.Fprintln(os.Stderr, "sangen:", err)
+	return 1
+}
+
+// flagError marks a command-line parse failure (or -h), so main can
+// tell usage errors from run failures.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
+
+// parseFlags parses args with fs, which must use flag.ContinueOnError.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return flagError{err}
+	}
+	return nil
 }
 
 // runSweep drives the scenario sweep pipeline: resolve scenarios,
 // simulate them on a worker pool, pack timelines into the workspace,
 // write the manifest, and print the summary table.
 func runSweep(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	out := fs.String("out", "", "workspace output directory (required)")
 	list := fs.Bool("list", false, "list available scenarios and exit")
 	names := fs.String("scenarios", "", "comma-separated scenario names (default: all)")
@@ -68,7 +94,9 @@ func runSweep(args []string, w io.Writer) error {
 	progress := fs.Bool("progress", false, "emit periodic sweep progress (days simulated, links, ETA) to stderr")
 	cpuprof := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprof := fs.String("memprofile", "", "write a heap profile (taken at exit) to this file")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	stopProf, err := startProfiles(*cpuprof, *memprof)
 	if err != nil {
@@ -175,7 +203,7 @@ func startProfiles(cpu, mem string) (stop func(), err error) {
 // runGenerate is the single-network mode: one generator, one SAN, the
 // san text format.
 func runGenerate(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("sangen", flag.ExitOnError)
+	fs := flag.NewFlagSet("sangen", flag.ContinueOnError)
 	var (
 		model     = fs.String("model", "san", "generator: san, zhel, or gplus")
 		n         = fs.Int("n", 10000, "node arrivals (san/zhel models)")
@@ -192,12 +220,12 @@ func runGenerate(args []string, w io.Writer) error {
 		stopAfter = fs.Int("stop-after", 0, "with -stream-out: stop after day N, leaving a checkpoint to resume from")
 		progress  = fs.Bool("progress", false, "emit periodic progress (days, links, packed bytes, RSS) to stderr")
 		serveAddr = fs.String("serve", "", "with -stream-out: serve a live NDJSON tail of this run on ADDR (GET /v1/stream/live) while it generates")
-		parallel  = fs.Bool("parallel", false, "gplus: multicore run — per-event rng substreams (RngMode=split) plus pipelined packing; deterministic for a seed but a different sample than the sequential stream")
-		pipeline  = fs.Bool("pipeline", false, "gplus: with -stream-out, overlap packing with simulation (bitwise-identical output)")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof   = fs.String("memprofile", "", "write a heap profile (taken at exit) to this file")
 	)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	stopProf, err := startProfiles(*cpuprof, *memprof)
 	if err != nil {
@@ -206,13 +234,10 @@ func runGenerate(args []string, w io.Writer) error {
 	defer stopProf()
 
 	if *resume != "" {
-		return runResume(*resume, *stopAfter, *progress, *serveAddr, *parallel || *pipeline, *parallel)
+		return runResume(*resume, *stopAfter, *progress, *serveAddr)
 	}
-	if *streamOut == "" && (*ckptEvery > 0 || *stopAfter > 0 || *serveAddr != "" || *pipeline) {
-		return fmt.Errorf("-checkpoint-every, -stop-after, -serve and -pipeline require -stream-out")
-	}
-	if *parallel && *model != "gplus" {
-		return fmt.Errorf("-parallel requires -model gplus (the %s generator has no parallel mode)", *model)
+	if *streamOut == "" && (*ckptEvery > 0 || *stopAfter > 0 || *serveAddr != "") {
+		return fmt.Errorf("-checkpoint-every, -stop-after and -serve require -stream-out")
 	}
 
 	var g *san.SAN
@@ -237,14 +262,11 @@ func runGenerate(args []string, w io.Writer) error {
 		if *days > 0 {
 			cfg.Days = *days
 		}
-		if *parallel {
-			cfg.RngMode = gplus.RngSplit
-		}
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
 		if *streamOut != "" {
-			return runStream(cfg, *streamOut, *observed, *ckptEvery, *stopAfter, *progress, *serveAddr, *parallel || *pipeline)
+			return runStream(cfg, *streamOut, *observed, *ckptEvery, *stopAfter, *progress, *serveAddr)
 		}
 		sim := gplus.New(cfg)
 		sim.Run(nil)

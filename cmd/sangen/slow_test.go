@@ -133,60 +133,3 @@ func filesEqual(t *testing.T, a, b string) bool {
 		}
 	}
 }
-
-// TestStreamParallelCrawlScaleBoundedRSS is the multicore analogue of
-// the crawl-scale acceptance run: a `sangen -parallel` streamed run at
-// >= 10M users must complete within the RSS budget and be byte-for-byte
-// reproducible run-to-run (split-mode determinism at scale, independent
-// of GOMAXPROCS).
-//
-// At the default scale (DailyBase 310000 -> ~10.5M users over 98 days)
-// run it explicitly with:
-//
-//	go test -tags slow -run TestStreamParallelCrawlScaleBoundedRSS -timeout 12h ./cmd/sangen
-//
-// CI smoke scales it down (see ci/streamsmoke.sh):
-//
-//	SAN_STREAM_PAR_DAILY   gplus DailyBase (default 310000; users ~ 34x this)
-//	SAN_STREAM_PAR_RSS_MB  peak-RSS budget in MiB (default 49152)
-func TestStreamParallelCrawlScaleBoundedRSS(t *testing.T) {
-	daily := envInt(t, "SAN_STREAM_PAR_DAILY", 310000)
-	budgetMB := envInt(t, "SAN_STREAM_PAR_RSS_MB", 49152)
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.tl")
-	b := filepath.Join(dir, "b.tl")
-	var out bytes.Buffer
-	base := []string{"-model", "gplus", "-scale", strconv.Itoa(daily), "-seed", "42", "-parallel", "-progress"}
-
-	if err := runGenerate(append(base, "-stream-out", a), &out); err != nil {
-		t.Fatalf("parallel streamed run: %v", err)
-	}
-	if err := runGenerate(append(base, "-stream-out", b), &out); err != nil {
-		t.Fatalf("parallel streamed rerun: %v", err)
-	}
-
-	peak := obs.PeakRSS()
-	if peak == 0 {
-		t.Log("peak RSS unavailable (no procfs); skipping the budget assertion")
-	} else if peak > int64(budgetMB)<<20 {
-		t.Errorf("peak RSS %d MiB exceeds the %d MiB budget", peak>>20, budgetMB)
-	}
-
-	if !filesEqual(t, a, b) {
-		t.Error("parallel run is not byte-for-byte reproducible across runs")
-	}
-
-	tl, err := snapstore.LoadFile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := tl.ReconstructAt(tl.NumDays() - 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 33 * daily; g.NumSocial() < want {
-		t.Errorf("final day has %d social nodes, want >= %d", g.NumSocial(), want)
-	}
-	t.Logf("parallel-streamed %d days at DailyBase %d: %d social nodes, %d social links, %d timeline bytes, peak RSS %d MiB",
-		tl.NumDays(), daily, g.NumSocial(), g.NumSocialEdges(), tl.Size(), peak>>20)
-}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,93 +134,34 @@ func TestGenerateOutputErrorsPropagate(t *testing.T) {
 	}
 }
 
-// TestStreamParallelKillResumeBitwiseIdentical is the same CLI
-// acceptance path for the multicore mode: a -parallel run interrupted
-// mid-stream and resumed must finalize bitwise-identical to an
-// uninterrupted -parallel run (the checkpoint carries the rng mode, so
-// resume re-enters the split discipline automatically).
-func TestStreamParallelKillResumeBitwiseIdentical(t *testing.T) {
-	dir := t.TempDir()
-	ref := filepath.Join(dir, "ref.tl")
-	got := filepath.Join(dir, "got.tl")
-	var buf bytes.Buffer
-
-	base := []string{"-model", "gplus", "-scale", "3", "-seed", "7", "-parallel"}
-	if err := runGenerate(append(base, "-stream-out", ref), &buf); err != nil {
-		t.Fatalf("uninterrupted parallel stream: %v", err)
-	}
-	err := runGenerate(append(base, "-stream-out", got, "-checkpoint-every", "10", "-stop-after", "30"), &buf)
-	if err != nil {
-		t.Fatalf("interrupted parallel stream: %v", err)
-	}
-	ckptDir := got + ".ckpt"
-	if err := runGenerate([]string{"-resume", ckptDir, "-parallel"}, &buf); err != nil {
-		t.Fatalf("parallel resume: %v", err)
-	}
-	want, err := os.ReadFile(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := os.ReadFile(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(have, want) {
-		t.Fatalf("resumed parallel run differs from uninterrupted run (%d vs %d bytes)", len(have), len(want))
-	}
-}
-
-// TestStreamPipelineMatchesSequentialFile pins the CLI form of the
-// layer-1 oracle: -pipeline changes scheduling, never bytes.
-func TestStreamPipelineMatchesSequentialFile(t *testing.T) {
-	dir := t.TempDir()
-	seq := filepath.Join(dir, "seq.tl")
-	pip := filepath.Join(dir, "pip.tl")
-	var buf bytes.Buffer
-	base := []string{"-model", "gplus", "-scale", "3", "-seed", "7"}
-	if err := runGenerate(append(base, "-stream-out", seq), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := runGenerate(append(base, "-pipeline", "-stream-out", pip), &buf); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := os.ReadFile(pip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(have, want) {
-		t.Fatalf("-pipeline stream differs from sequential stream (%d vs %d bytes)", len(have), len(want))
-	}
-}
-
-// TestParallelFlagValidation covers the multicore flag interlocks: the
-// modes only exist on the gplus generator, -pipeline needs a stream,
-// and a sequential checkpoint cannot be resumed with -parallel.
-func TestParallelFlagValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runGenerate([]string{"-model", "san", "-n", "50", "-parallel"}, &buf); err == nil ||
-		!strings.Contains(err.Error(), "gplus") {
-		t.Errorf("-parallel with -model san: got %v", err)
-	}
-	if err := runGenerate([]string{"-model", "gplus", "-pipeline"}, &buf); err == nil ||
-		!strings.Contains(err.Error(), "stream-out") {
-		t.Errorf("-pipeline without -stream-out: got %v", err)
-	}
-
-	// A sequential checkpoint resumed with -parallel must fail loudly
-	// rather than silently switch rng disciplines mid-run.
-	dir := t.TempDir()
-	out := filepath.Join(dir, "seq.tl")
-	base := []string{"-model", "gplus", "-scale", "3", "-seed", "7"}
-	if err := runGenerate(append(base, "-stream-out", out, "-checkpoint-every", "10", "-stop-after", "20"), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := runGenerate([]string{"-resume", out + ".ckpt", "-parallel"}, &buf); err == nil {
-		t.Error("-parallel resume of a sequential checkpoint must fail")
+// TestFlagParseErrorsReturn pins that flag-parse failures come back as
+// errors instead of exiting the process: unknown flags (including the
+// removed -parallel and -pipeline) and -h all return from runGenerate
+// and runSweep, and main maps them to exit codes 2 and 0.
+func TestFlagParseErrorsReturn(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func([]string, io.Writer) error
+		args []string
+		code int
+	}{
+		{"generate -parallel", runGenerate, []string{"-model", "gplus", "-parallel"}, 2},
+		{"generate -pipeline", runGenerate, []string{"-model", "gplus", "-stream-out", "x.tl", "-pipeline"}, 2},
+		{"generate -h", runGenerate, []string{"-h"}, 0},
+		{"sweep -parallel", runSweep, []string{"-parallel"}, 2},
+		{"sweep -h", runSweep, []string{"-h"}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			err := c.run(c.args, &buf)
+			var fe flagError
+			if !errors.As(err, &fe) {
+				t.Fatalf("err = %v, want a flag parse error", err)
+			}
+			if got := exitCode(err); got != c.code {
+				t.Errorf("exitCode(%v) = %d, want %d", err, got, c.code)
+			}
+		})
 	}
 }
 

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,16 +32,43 @@ func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
-	if err := run(os.Args[1], os.Args[2:], os.Stdout); err != nil {
-		if err == errUnknownCommand {
-			usage()
-		}
-		fmt.Fprintln(os.Stderr, "sanstore:", err)
-		os.Exit(1)
+	err := run(os.Args[1], os.Args[2:], os.Stdout)
+	if err == errUnknownCommand {
+		usage()
 	}
+	os.Exit(exitCode(err))
+}
+
+// exitCode maps a run's error to the process exit status: 0 for success
+// and -h, 2 for a flag parse error (the flag package already printed it
+// with the usage), and 1 for a run failure, printed here.
+func exitCode(err error) int {
+	var fe flagError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &fe):
+		return 2
+	}
+	fmt.Fprintln(os.Stderr, "sanstore:", err)
+	return 1
 }
 
 var errUnknownCommand = fmt.Errorf("unknown command")
+
+// flagError marks a command-line parse failure (or -h), so main can
+// tell usage errors from run failures.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
+
+// parseFlags parses args with fs, which must use flag.ContinueOnError.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return flagError{err}
+	}
+	return nil
+}
 
 // run dispatches one subcommand, writing its report to w; main and
 // the end-to-end test share this path.
@@ -69,13 +97,15 @@ func usage() {
 }
 
 func runPack(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("pack", flag.ExitOnError)
+	fs := flag.NewFlagSet("pack", flag.ContinueOnError)
 	out := fs.String("out", "", "output timeline file (required)")
 	scale := fs.Int("scale", 400, "gplus DailyBase arrival scale")
 	days := fs.Int("days", 98, "number of simulated days")
 	seed := fs.Uint64("seed", 42, "simulation seed")
 	observed := fs.Bool("observed", false, "pack the crawl view (declared attribute links only) instead of the full SAN")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if *out == "" {
 		return fmt.Errorf("pack: -out is required")
 	}
@@ -143,9 +173,11 @@ func runStat(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fs := flag.NewFlagSet("stat", flag.ExitOnError)
+	fs := flag.NewFlagSet("stat", flag.ContinueOnError)
 	day := fs.Int("day", 0, "1-based day to reconstruct (default: last)")
-	fs.Parse(rest)
+	if err := parseFlags(fs, rest); err != nil {
+		return err
+	}
 	g, d, err := reconstruct(tl, *day)
 	if err != nil {
 		return err
@@ -167,10 +199,12 @@ func runExtract(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fs := flag.NewFlagSet("extract", flag.ExitOnError)
+	fs := flag.NewFlagSet("extract", flag.ContinueOnError)
 	day := fs.Int("day", 0, "1-based day to reconstruct (default: last)")
 	out := fs.String("out", "", "output san text file (default stdout)")
-	fs.Parse(rest)
+	if err := parseFlags(fs, rest); err != nil {
+		return err
+	}
 	g, _, err := reconstruct(tl, *day)
 	if err != nil {
 		return err

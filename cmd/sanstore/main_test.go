@@ -113,3 +113,15 @@ func openSANFile(path string) (*san.SAN, error) {
 	defer f.Close()
 	return san.Read(f)
 }
+
+// TestFlagParseErrorsReturn pins that subcommand flag errors and -h come
+// back from run as values (exit codes 2 and 0) instead of exiting.
+func TestFlagParseErrorsReturn(t *testing.T) {
+	var out bytes.Buffer
+	if err := run("pack", []string{"-bogus"}, &out); exitCode(err) != 2 {
+		t.Errorf("pack -bogus: err = %v, exit code %d, want 2", err, exitCode(err))
+	}
+	if err := run("pack", []string{"-h"}, &out); err == nil || exitCode(err) != 0 {
+		t.Errorf("pack -h: err = %v, exit code %d, want ErrHelp and 0", err, exitCode(err))
+	}
+}

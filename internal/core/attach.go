@@ -177,19 +177,7 @@ func (at *Attacher) bonusFactor(a int) float64 {
 // state under the configured model.  It excludes u itself and existing
 // out-neighbors of u; it returns -1 if no valid target can be found.
 func (at *Attacher) Sample(g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
-	return at.sampleWith(at.scratch(), g, u, rng, true)
-}
-
-// SampleWith is Sample with a caller-supplied scratch arena and rng.
-// Unlike Sample it never touches the attacher's own scratch, so any
-// number of SampleWith calls may run concurrently — each with its own
-// Scratch and rng — as long as the network and the attacher's incremental
-// state are not mutated underneath them (the same frozen-graph condition
-// SampleBatch's commuting contract rests on).  The draw is a pure
-// function of (network, attacher state, rng stream): scratch contents
-// never influence the result, only allocation reuse.
-func (at *Attacher) SampleWith(scr *Scratch, g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
-	return at.sampleWith(&scr.sample, g, u, rng, true)
+	return at.sample(g, u, rng, true)
 }
 
 // SampleNaive is the retained reference sampler: it consumes exactly
@@ -198,13 +186,12 @@ func (at *Attacher) SampleWith(scr *Scratch, g *san.SAN, u san.NodeID, rng *rand
 // binary search.  The stream-equivalence tests pin Sample against it;
 // it is not on any hot path.
 func (at *Attacher) SampleNaive(g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
-	return at.sampleWith(at.scratch(), g, u, rng, false)
+	return at.sample(g, u, rng, false)
 }
 
-// sampleWith implements Sample, SampleWith and SampleNaive: identical
-// control flow and rng-draw discipline, with fast selecting the
-// O(log n) resolvers and scr holding the mixture sampler's buffers.
-func (at *Attacher) sampleWith(scr *sampleScratch, g *san.SAN, u san.NodeID, rng *rand.Rand, fast bool) san.NodeID {
+// sample implements Sample and SampleNaive: identical control flow and
+// rng-draw discipline, with fast selecting the O(log n) resolvers.
+func (at *Attacher) sample(g *san.SAN, u san.NodeID, rng *rand.Rand, fast bool) san.NodeID {
 	n := g.NumSocial()
 	if n < 2 {
 		return -1
@@ -223,7 +210,7 @@ func (at *Attacher) sampleWith(scr *sampleScratch, g *san.SAN, u san.NodeID, rng
 	// Exact mixture sampling: total weight splits into the attribute-
 	// blind base Σ(d+1)^α and the bonus carried by nodes sharing
 	// attributes with u.
-	shared, prefix, bonusTotal, baseTotal, ok := at.prepareMixture(scr, g, u)
+	shared, prefix, bonusTotal, baseTotal, ok := at.prepareMixture(g, u)
 	if !ok {
 		// Too popular to enumerate exactly; approximate.
 		if v := at.sampleHeuristic(g, u, rng); v >= 0 {
@@ -240,20 +227,20 @@ func (at *Attacher) sampleWith(scr *sampleScratch, g *san.SAN, u san.NodeID, rng
 // split.  It reports false when u's attribute communities are too
 // popular to enumerate exactly (the caller approximates instead).  The
 // returned slices are scratch-owned and stay valid only while the
-// network does not mutate and no other prepareMixture call runs
-// against the same scratch.
-func (at *Attacher) prepareMixture(scr *sampleScratch, g *san.SAN, u san.NodeID) (shared []sharedCand, prefix []float64, bonusTotal, baseTotal float64, ok bool) {
+// network does not mutate and no other prepareMixture call runs.
+func (at *Attacher) prepareMixture(g *san.SAN, u san.NodeID) (shared []sharedCand, prefix []float64, bonusTotal, baseTotal float64, ok bool) {
 	limit := at.EnumLimit
 	if limit <= 0 {
 		limit = 4000
 	}
-	shared, ok = at.buildShared(scr, g, u, limit)
+	shared, ok = at.buildShared(g, u, limit)
 	if !ok {
 		return nil, nil, 0, 0, false
 	}
 	// Candidate weights accumulate into a prefix-sum table in node-ID
 	// order (the order the old linear scan consumed them in), so a
 	// single uniform draw binary-searches to the index the scan picks.
+	scr := at.scratch()
 	prefix = scr.prefix[:0]
 	for i := range shared {
 		w := at.powAlpha(float64(g.InDegree(shared[i].v))+1) * at.bonusFactor(shared[i].a)
@@ -305,7 +292,7 @@ func (at *Attacher) SampleBatch(g *san.SAN, u san.NodeID, rng *rand.Rand, k int,
 	hoistable := attrAware && !at.Heuristic && at.Beta != 0 &&
 		g.AttrDegree(u) != 0 && g.NumSocial() >= 2
 	if hoistable {
-		if shared, prefix, bonusTotal, baseTotal, ok := at.prepareMixture(at.scratch(), g, u); ok {
+		if shared, prefix, bonusTotal, baseTotal, ok := at.prepareMixture(g, u); ok {
 			for i := 0; i < k; i++ {
 				dst = append(dst, at.mixtureDraw(g, u, rng, true, shared, prefix, bonusTotal, baseTotal))
 			}
@@ -315,7 +302,7 @@ func (at *Attacher) SampleBatch(g *san.SAN, u san.NodeID, rng *rand.Rand, k int,
 		// heuristic exactly as Sample does.
 	}
 	for i := 0; i < k; i++ {
-		dst = append(dst, at.sampleWith(at.scratch(), g, u, rng, true))
+		dst = append(dst, at.sample(g, u, rng, true))
 	}
 	return dst
 }
@@ -340,8 +327,9 @@ type sampleScratch struct {
 // with u, ordered by ascending node ID (sampling must be deterministic
 // for a fixed rng stream).  It reports false when the enumeration
 // exceeds limit.  The result is scratch-owned and valid until the next
-// call against the same scratch.
-func (at *Attacher) buildShared(scr *sampleScratch, g *san.SAN, u san.NodeID, limit int) ([]sharedCand, bool) {
+// call.
+func (at *Attacher) buildShared(g *san.SAN, u san.NodeID, limit int) ([]sharedCand, bool) {
+	scr := at.scratch()
 	if n := g.NumSocial(); len(scr.count) < n {
 		scr.count = append(scr.count, make([]int32, n-len(scr.count))...)
 	}

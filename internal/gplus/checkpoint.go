@@ -36,13 +36,13 @@ import (
 // checkpoint (cmd/sangen stores it in the checkpoint's JSON header) and
 // must pass the identical one to ReadSimulator; resumed runs do not
 // replay trace events from before the checkpoint.
-// Version 2 adds the split scheduler's substream identity right after
-// the version byte: a mode flag and the derivation salt the per-event
-// substreams are minted from.  Both are derivable from the Config, but
-// carrying them makes mode drift fail loudly at resume time — a split
-// checkpoint resumed under the sequential discipline (or under a
-// different seed's salt) would silently produce a network from neither
-// stream.  Version 1 checkpoints (always sequential) still load.
+//
+// Version 2 carries an rng-mode byte and a substream salt right after
+// the version byte.  The simulator has one (sequential) rng discipline,
+// so WriteState always writes mode 0 and salt 0 — keeping state bytes
+// and existing checkpoints valid — and ReadSimulator rejects any other
+// mode: those states came from the removed split-rng mode and cannot
+// be continued.  Version 1 checkpoints (no mode byte) still load.
 const (
 	stateMagic   = "GPCK"
 	stateVersion = 2
@@ -55,13 +55,8 @@ func (s *Simulator) WriteState(w io.Writer) error {
 	sw := &stateWriter{w: w}
 	sw.bytes([]byte(stateMagic))
 	sw.u8(stateVersion)
-	if s.Cfg.parallelDraws() {
-		sw.u8(1)
-		sw.uvarint(splitmix64(s.Cfg.Seed))
-	} else {
-		sw.u8(0)
-		sw.uvarint(0)
-	}
+	sw.u8(0) // rng mode: sequential
+	sw.uvarint(0)
 
 	rng, err := s.rngSrc.MarshalBinary()
 	if err != nil {
@@ -190,18 +185,9 @@ func ReadSimulator(cfg Config, r io.Reader, sc *Scratch) (*Simulator, error) {
 	}
 	if v >= 2 {
 		mode := sr.u8()
-		salt := sr.uvarint()
-		if sr.err == nil {
-			if (mode == 1) != cfg.parallelDraws() {
-				have := RngSeq
-				if mode == 1 {
-					have = RngSplit
-				}
-				return nil, fmt.Errorf("gplus: checkpoint was written in %s rng mode; resume with the same RngMode (config says %q)", have, cfg.RngMode)
-			}
-			if mode == 1 && salt != splitmix64(cfg.Seed) {
-				return nil, fmt.Errorf("gplus: checkpoint substream salt does not match the config seed (checkpoint/config drift)")
-			}
+		sr.uvarint() // substream salt, unused by the sequential mode
+		if sr.err == nil && mode != 0 {
+			return nil, fmt.Errorf("gplus: checkpoint was written in the removed split rng mode (mode byte %d); only sequential checkpoints can be resumed", mode)
 		}
 	}
 

@@ -61,11 +61,6 @@ func (c *Config) Validate() error {
 	if c.Attachment > core.AttachPAPA {
 		return fmt.Errorf("gplus: unknown attachment kind %d", c.Attachment)
 	}
-	switch c.RngMode {
-	case "", RngSeq, RngSplit:
-	default:
-		return fmt.Errorf("gplus: RngMode must be %q or %q, got %q", RngSeq, RngSplit, c.RngMode)
-	}
 	if c.Alpha < 0 || c.Beta < 0 {
 		return fmt.Errorf("gplus: attachment exponents must be >= 0, got alpha=%g beta=%g", c.Alpha, c.Beta)
 	}

@@ -158,17 +158,6 @@ type Config struct {
 
 	Seed uint64
 
-	// RngMode selects the random-number discipline.  Empty or RngSeq is
-	// the default single-stream discipline (one PCG stream consumed in
-	// event order; bitwise-frozen against the golden outputs).  RngSplit
-	// derives an independent PCG substream per simulation event from
-	// (Seed, day, event index), which decouples every wake-up's draws
-	// from its neighbors' and lets each day's due events be proposed
-	// concurrently — the output is deterministic for a given seed and
-	// independent of GOMAXPROCS, but it is a *different* (equally valid)
-	// sample of the model than the sequential stream produces.
-	RngMode string
-
 	// Record, when set, captures the evolution event trace.
 	Record *trace.Trace
 	// RecordObserved, when true, records attribute links only for
@@ -217,16 +206,6 @@ func DefaultConfig() Config {
 		Seed: 42,
 	}
 }
-
-// RngMode values; see Config.RngMode.
-const (
-	RngSeq   = "seq"
-	RngSplit = "split"
-)
-
-// parallelDraws reports whether the split-substream scheduler drives
-// the event loop (Config.RngMode = RngSplit).
-func (c *Config) parallelDraws() bool { return c.RngMode == RngSplit }
 
 // PhaseOf returns the phase containing the given day.
 func (c *Config) PhaseOf(day int) Phase {
@@ -339,10 +318,6 @@ type Simulator struct {
 	events    eventHeap
 	now       float64
 	day       int
-
-	// split holds the RngMode=split scheduler (worker pool, per-event
-	// substream sources); nil until the first split-mode day runs.
-	split *splitSched
 }
 
 // New builds a simulator with a small bootstrap clique of social users.
@@ -427,20 +402,15 @@ func observe(perDay func(day int, g *san.SAN)) func(day int, g *san.SAN) bool {
 // corrupting it.
 func (s *Simulator) runRange(startDay, stopDay int, perDay func(day int, g *san.SAN) bool) *san.SAN {
 	prevNodes, prevLinks := s.G.NumSocial(), s.G.NumSocialEdges()
-	split := s.Cfg.parallelDraws()
 	for day := startDay; day <= stopDay; day++ {
 		s.day = day
-		if split {
-			s.simDaySplit(day)
-		} else {
-			arrivals := s.Cfg.ArrivalsOn(day)
-			for i := 0; i < arrivals; i++ {
-				t := float64(day-1) + float64(i)/float64(arrivals)
-				s.advanceTo(t)
-				s.arrive(t)
-			}
-			s.advanceTo(float64(day))
+		arrivals := s.Cfg.ArrivalsOn(day)
+		for i := 0; i < arrivals; i++ {
+			t := float64(day-1) + float64(i)/float64(arrivals)
+			s.advanceTo(t)
+			s.arrive(t)
 		}
+		s.advanceTo(float64(day))
 		if s.Progress != nil {
 			nodes, links := s.G.NumSocial(), s.G.NumSocialEdges()
 			s.Progress.AddDays(1)
@@ -464,7 +434,7 @@ func (s *Simulator) advanceTo(t float64) {
 		case evWake:
 			s.wake(e.u, e.t)
 		case evRecip:
-			s.maybeReciprocate(e.u, e.v, e.t, s.Rng)
+			s.maybeReciprocate(e.u, e.v, e.t)
 		}
 	}
 }
@@ -558,7 +528,7 @@ func (s *Simulator) arrive(t float64) {
 	if d := s.G.OutDegree(u); d > 1 {
 		s.baseOut[u] = d - 1
 	}
-	s.scheduleWake(u, t, s.Rng)
+	s.scheduleWake(u, t)
 }
 
 // invitedJoin links u to a uniformly random recent arrival (the
@@ -596,13 +566,6 @@ func (s *Simulator) addUser(kind UserKind, t float64) san.NodeID {
 // addEdge inserts u -> v, updates the attacher, records the event, and
 // schedules a possible delayed reciprocation by v.
 func (s *Simulator) addEdge(u, v san.NodeID, kind trace.Kind) bool {
-	return s.addEdgeRng(u, v, kind, s.Rng)
-}
-
-// addEdgeRng is addEdge drawing the reciprocation decision from rng
-// (the main stream sequentially, an event's apply substream in split
-// mode).
-func (s *Simulator) addEdgeRng(u, v san.NodeID, kind trace.Kind, rng *rand.Rand) bool {
 	if !s.G.AddSocialEdge(u, v) {
 		return false
 	}
@@ -611,7 +574,7 @@ func (s *Simulator) addEdgeRng(u, v san.NodeID, kind trace.Kind, rng *rand.Rand)
 		s.Cfg.Record.Append(trace.Event{Kind: kind, U: u, V: v, Time: s.now})
 	}
 	if kind != trace.ReciprocalLink && !s.G.HasSocialEdge(v, u) {
-		s.scheduleReciprocation(u, v, rng)
+		s.scheduleReciprocation(u, v)
 	}
 	return true
 }
@@ -624,10 +587,10 @@ func (s *Simulator) addEdgeRng(u, v san.NodeID, kind trace.Kind, rng *rand.Rand)
 // boost only accelerated responses, the boosted pairs would simply
 // complete before the halfway snapshot and the measured effect would
 // cancel.
-func (s *Simulator) scheduleReciprocation(u, v san.NodeID, rng *rand.Rand) {
+func (s *Simulator) scheduleReciprocation(u, v san.NodeID) {
 	if s.kinds[v] == Celebrity || s.kinds[v] == Subscriber {
 		// Publishers and pure subscribers rarely follow back.
-		if rng.Float64() > 0.08 {
+		if s.Rng.Float64() > 0.08 {
 			return
 		}
 	}
@@ -640,67 +603,52 @@ func (s *Simulator) scheduleReciprocation(u, v san.NodeID, rng *rand.Rand) {
 	if p > 0.95 {
 		p = 0.95
 	}
-	if rng.Float64() >= p {
+	if s.Rng.Float64() >= p {
 		return
 	}
 	mean := s.Cfg.RecipDelayMean
-	if rng.Float64() < s.Cfg.RecipSlowFrac {
+	if s.Rng.Float64() < s.Cfg.RecipSlowFrac {
 		mean = s.Cfg.RecipDelaySlowMean
 	}
-	heap.Push(&s.events, event{t: s.now + stats.ExpMean(rng, mean), kind: evRecip, u: u, v: v})
+	heap.Push(&s.events, event{t: s.now + stats.ExpMean(s.Rng, mean), kind: evRecip, u: u, v: v})
 }
 
 // maybeReciprocate fires a scheduled reciprocation: v answers the
 // earlier link u -> v.  Users past their active lifetime respond on a
 // later log-in (reciprocation is a low-effort response to a
 // notification), so inactive targets defer rather than drop.
-func (s *Simulator) maybeReciprocate(u, v san.NodeID, t float64, rng *rand.Rand) {
+func (s *Simulator) maybeReciprocate(u, v san.NodeID, t float64) {
 	if s.G.HasSocialEdge(v, u) {
 		return
 	}
-	if s.deaths[v] <= t && rng.Float64() > 0.35 {
+	if s.deaths[v] <= t && s.Rng.Float64() > 0.35 {
 		heap.Push(&s.events, event{
-			t: t + stats.ExpMean(rng, s.Cfg.RecipDelaySlowMean), kind: evRecip, u: u, v: v,
+			t: t + stats.ExpMean(s.Rng, s.Cfg.RecipDelaySlowMean), kind: evRecip, u: u, v: v,
 		})
 		return
 	}
-	s.addEdgeRng(v, u, trace.ReciprocalLink, rng)
+	s.addEdge(v, u, trace.ReciprocalLink)
 }
 
 // scheduleWake schedules the next wake-up of u: exponential sleep with
 // mean MeanSleep/outdegree, skipped if the node dies first.
-func (s *Simulator) scheduleWake(u san.NodeID, t float64, rng *rand.Rand) {
+func (s *Simulator) scheduleWake(u san.NodeID, t float64) {
 	do := s.G.OutDegree(u) - s.baseOut[u]
 	if do < 1 {
 		do = 1
 	}
-	wake := t + stats.ExpMean(rng, s.Cfg.MeanSleep/float64(do))
+	wake := t + stats.ExpMean(s.Rng, s.Cfg.MeanSleep/float64(do))
 	if wake >= s.deaths[u] {
 		return
 	}
 	heap.Push(&s.events, event{t: wake, kind: evWake, u: u})
 }
 
-// wake lets u add one link: the proposal draws and the mutation draws
-// all come from the single sequential stream, in the historical order.
+// wake lets u add one link: social users close triangles through the
+// type-weighted RR-SAN; subscribers preferentially follow popular
+// accounts (the publisher-subscriber ingredient).
 func (s *Simulator) wake(u san.NodeID, t float64) {
 	s.now = t
-	v, kind := s.proposeLink(u, t, s.Rng, s.scr)
-	if v >= 0 {
-		s.addEdge(u, v, kind)
-	}
-	s.scheduleWake(u, t, s.Rng)
-}
-
-// proposeLink draws the link a wake-up of u at time t creates: social
-// users close triangles through the type-weighted RR-SAN; subscribers
-// preferentially follow popular accounts (the publisher-subscriber
-// ingredient).  It only reads the network (and draws from rng, with sc
-// providing allocation-reuse buffers that never influence the result),
-// so split-mode workers run it concurrently against the frozen graph;
-// the sequential path calls it with the main stream and shared arena,
-// preserving the historical draw order bitwise.
-func (s *Simulator) proposeLink(u san.NodeID, t float64, rng *rand.Rand, sc *Scratch) (san.NodeID, trace.Kind) {
 	var v san.NodeID = -1
 	kind := trace.TriangleLink
 	switch s.kinds[u] {
@@ -710,35 +658,38 @@ func (s *Simulator) proposeLink(u san.NodeID, t float64, rng *rand.Rand, sc *Scr
 		// attachment — attention ages, so old hubs fade and the
 		// indegree tail stays lognormal rather than power law), and
 		// sometimes they close triangles like everyone else.
-		if rng.Float64() < 0.55 {
-			v = s.attacher.SamplePAWindow(s.G, u, rng, s.G.NumSocialEdges()/20)
+		if s.Rng.Float64() < 0.55 {
+			v = s.attacher.SamplePAWindow(s.G, u, s.Rng, s.G.NumSocialEdges()/20)
 			kind = trace.FirstLink
 		} else {
-			v = s.closeTriangle(u, t, rng, sc)
+			v = s.closeTriangle(u)
 			if v < 0 {
-				v = s.attacher.SamplePAWindow(s.G, u, rng, s.G.NumSocialEdges()/20)
+				v = s.attacher.SamplePAWindow(s.G, u, s.Rng, s.G.NumSocialEdges()/20)
 				kind = trace.FirstLink
 			}
 		}
 	default:
-		v = s.closeTriangle(u, t, rng, sc)
+		v = s.closeTriangle(u)
 		if v < 0 {
-			v = s.attacher.SampleWith(sc.core, s.G, u, rng)
+			v = s.attacher.Sample(s.G, u, s.Rng)
 			kind = trace.FirstLink
 		}
 	}
-	return v, kind
+	if v >= 0 {
+		s.addEdge(u, v, kind)
+	}
+	s.scheduleWake(u, t)
 }
 
 // closeTriangle is RR-SAN with per-type focal weights: the first hop
 // picks a social neighbor (weight 1 each) or an attribute neighbor
 // (weight FocalTypeWeight[type]), then a uniform social neighbor of
 // the intermediate.
-func (s *Simulator) closeTriangle(u san.NodeID, t float64, rng *rand.Rand, sc *Scratch) san.NodeID {
+func (s *Simulator) closeTriangle(u san.NodeID) san.NodeID {
 	if s.Cfg.DisableClosing {
 		return -1 // every wake-up falls through to the attachment model
 	}
-	social := sc.nbrs.Neighbors(s.G, u)
+	social := s.scr.nbrs.Neighbors(s.G, u)
 	attrs := s.G.Attrs(u)
 	ws := float64(len(social))
 	wa := 0.0
@@ -750,23 +701,23 @@ func (s *Simulator) closeTriangle(u san.NodeID, t float64, rng *rand.Rand, sc *S
 	}
 	for tries := 0; tries < 24; tries++ {
 		var second []san.NodeID
-		if rng.Float64()*(ws+wa) < wa {
-			a := s.pickAttrByWeight(attrs, wa, rng)
+		if s.Rng.Float64()*(ws+wa) < wa {
+			a := s.pickAttrByWeight(attrs, wa)
 			second = s.G.Members(a)
 			if len(second) > 4096 {
 				// Celebrity attributes: sample a bounded window so a
 				// single huge community cannot dominate runtime.
-				off := rng.IntN(len(second) - 4096)
+				off := s.Rng.IntN(len(second) - 4096)
 				second = second[off : off+4096]
 			}
 		} else {
-			w := social[rng.IntN(len(social))]
-			second = sc.nbrs.Neighbors(s.G, w)
+			w := social[s.Rng.IntN(len(social))]
+			second = s.scr.nbrs.Neighbors(s.G, w)
 		}
 		if len(second) == 0 {
 			continue
 		}
-		v := second[rng.IntN(len(second))]
+		v := second[s.Rng.IntN(len(second))]
 		if v == u || s.G.HasSocialEdge(u, v) {
 			continue
 		}
@@ -774,7 +725,7 @@ func (s *Simulator) closeTriangle(u san.NodeID, t float64, rng *rand.Rand, sc *S
 		// suggestions; without this aging, triangle closing is a pure
 		// Yule process and the indegree tail turns power law instead
 		// of the lognormal the paper measures (Figure 5b).
-		if s.deaths[v] <= t && rng.Float64() < 0.85 {
+		if s.deaths[v] <= s.now && s.Rng.Float64() < 0.85 {
 			continue
 		}
 		return v
@@ -782,8 +733,8 @@ func (s *Simulator) closeTriangle(u san.NodeID, t float64, rng *rand.Rand, sc *S
 	return -1
 }
 
-func (s *Simulator) pickAttrByWeight(attrs []san.AttrID, total float64, rng *rand.Rand) san.AttrID {
-	x := rng.Float64() * total
+func (s *Simulator) pickAttrByWeight(attrs []san.AttrID, total float64) san.AttrID {
+	x := s.Rng.Float64() * total
 	for _, a := range attrs {
 		x -= s.ftw[s.G.AttrTypeOf(a)]
 		if x <= 0 {

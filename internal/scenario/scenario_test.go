@@ -65,6 +65,39 @@ func TestRegistryResolvesAndValidates(t *testing.T) {
 	}
 }
 
+// TestDigestsPinned freezes the config digest of every registered
+// scenario over the calibrated base.  Workspace manifests carry these
+// digests (sanserve reloads diff them via Run.ContentDigest), so a digest-format
+// change would silently invalidate every existing workspace.
+func TestDigestsPinned(t *testing.T) {
+	want := map[string]string{
+		"baseline":            "4f9dfcf5147a0e6b",
+		"extended-invite":     "e18c9c7efd33aa2b",
+		"no-triangle-closing": "624c95cbb913a699",
+		"pa-first-link":       "6ab6fdb19ea9fed6",
+		"rr-closing":          "49cf927ca835919f",
+		"social-only":         "72861dd322e448db",
+		"subscriber-heavy":    "85fa083636fdea06",
+	}
+	names := Names()
+	if len(names) != len(want) {
+		t.Errorf("registry has %d scenarios %v, pinned %d: pin the new digests", len(names), names, len(want))
+	}
+	for _, name := range names {
+		s, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := s.Config(gplus.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Digest(cfg); got != want[name] {
+			t.Errorf("scenario %q: digest %s, pinned %q", name, got, want[name])
+		}
+	}
+}
+
 func TestPatchValidationRejectsBrokenConfigs(t *testing.T) {
 	base := smallBase()
 	for name, p := range map[string]Patch{
