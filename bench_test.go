@@ -309,6 +309,7 @@ func BenchmarkExactNeighborhoodFunction(b *testing.B) {
 // BenchmarkDegreeFitting measures the full model-selection pipeline
 // (lognormal MLE + power-law xmin scan + Vuong comparison).
 func BenchmarkDegreeFitting(b *testing.B) {
+	b.ReportAllocs()
 	rng := rand.New(rand.NewPCG(5, 6))
 	data := make([]int, 30000)
 	for i := range data {

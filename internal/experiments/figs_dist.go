@@ -27,13 +27,11 @@ func Fig5(d *Dataset) Figure {
 		Title: "Social degree distributions with lognormal fits",
 		Series: []Series{
 			empOut,
-			fitSeries("outdeg-lognormal-fit", empOut, func(k int) float64 {
-				return stats.LognormalLogPMF(k, selOut.Lognormal.Mu, selOut.Lognormal.Sigma)
-			}),
+			fitSeries("outdeg-lognormal-fit", empOut,
+				stats.LognormalLogPMFFunc(selOut.Lognormal.Mu, selOut.Lognormal.Sigma)),
 			empIn,
-			fitSeries("indeg-lognormal-fit", empIn, func(k int) float64 {
-				return stats.LognormalLogPMF(k, selIn.Lognormal.Mu, selIn.Lognormal.Sigma)
-			}),
+			fitSeries("indeg-lognormal-fit", empIn,
+				stats.LognormalLogPMFFunc(selIn.Lognormal.Mu, selIn.Lognormal.Sigma)),
 		},
 		Notes: []string{
 			fmt.Sprintf("outdegree: winner=%s  lognormal(mu=%.2f sigma=%.2f KS=%.3f)  power-law(alpha=%.2f KS=%.3f)",
@@ -108,13 +106,11 @@ func Fig10(d *Dataset) Figure {
 		Title: "Attribute-induced degree distributions with best fits",
 		Series: []Series{
 			empA,
-			fitSeries("attrdeg-lognormal-fit", empA, func(k int) float64 {
-				return stats.LognormalLogPMF(k, selA.Lognormal.Mu, selA.Lognormal.Sigma)
-			}),
+			fitSeries("attrdeg-lognormal-fit", empA,
+				stats.LognormalLogPMFFunc(selA.Lognormal.Mu, selA.Lognormal.Sigma)),
 			empS,
-			fitSeries("attr-social-deg-powerlaw-fit", empS, func(k int) float64 {
-				return stats.PowerLawLogPMF(k, plS.Alpha, plS.Xmin)
-			}),
+			fitSeries("attr-social-deg-powerlaw-fit", empS,
+				stats.PowerLawLogPMFFunc(plS.Alpha, plS.Xmin)),
 		},
 		Notes: []string{
 			fmt.Sprintf("attribute degree: winner=%s lognormal(mu=%.2f sigma=%.2f)",

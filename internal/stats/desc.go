@@ -99,22 +99,13 @@ type PMFPoint struct {
 // by value.  Zero values are excluded, matching the log-log degree
 // plots in the paper.
 func PMF(data []int) []PMFPoint {
-	counts := countValues(data, 1)
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
+	counts, n := tally(data)
 	if n == 0 {
 		return nil
 	}
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]PMFPoint, len(keys))
-	for i, k := range keys {
-		out[i] = PMFPoint{K: k, P: float64(counts[k]) / float64(n)}
+	out := make([]PMFPoint, len(counts))
+	for i, vc := range counts {
+		out[i] = PMFPoint{K: vc.k, P: float64(vc.c) / float64(n)}
 	}
 	return out
 }
@@ -128,24 +119,15 @@ type CCDFPoint struct {
 // CCDF returns the empirical complementary CDF P(X >= k) at every
 // distinct value k >= 1 in the data.
 func CCDF(data []int) []CCDFPoint {
-	counts := countValues(data, 1)
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
+	counts, n := tally(data)
 	if n == 0 {
 		return nil
 	}
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]CCDFPoint, len(keys))
+	out := make([]CCDFPoint, len(counts))
 	remaining := n
-	for i, k := range keys {
-		out[i] = CCDFPoint{K: k, P: float64(remaining) / float64(n)}
-		remaining -= counts[k]
+	for i, vc := range counts {
+		out[i] = CCDFPoint{K: vc.k, P: float64(remaining) / float64(n)}
+		remaining -= vc.c
 	}
 	return out
 }
@@ -219,23 +201,8 @@ func IntsToFloats(data []int) []float64 {
 // computes bitwise-identical results from an incrementally maintained
 // histogram of the same sample.
 func LogMoments(data []int) (mu, sigma float64) {
-	clean := make([]int, 0, len(data))
-	for _, k := range data {
-		if k >= 1 {
-			clean = append(clean, k)
-		}
-	}
-	sort.Ints(clean)
-	return logMomentsRuns(func(yield func(k, count int)) {
-		for i := 0; i < len(clean); {
-			j := i
-			for j < len(clean) && clean[j] == clean[i] {
-				j++
-			}
-			yield(clean[i], j-i)
-			i = j
-		}
-	})
+	counts, _ := tally(data)
+	return logMomentsTable(counts)
 }
 
 // LogMomentsHist is LogMoments over a value histogram: hist[k] holds
@@ -245,33 +212,64 @@ func LogMoments(data []int) (mu, sigma float64) {
 // the experiments layer fold per-day degree moments from delta-updated
 // histograms instead of re-extracting every degree.
 func LogMomentsHist(hist []int) (mu, sigma float64) {
-	return logMomentsRuns(func(yield func(k, count int)) {
-		for k := 1; k < len(hist); k++ {
-			if hist[k] > 0 {
-				yield(k, hist[k])
-			}
-		}
-	})
+	return logMomentsTable(tallyHist(hist, 1))
 }
 
-// logMomentsRuns computes the log-moments from (value, multiplicity)
-// runs delivered in ascending value order.  Both entry points share it
-// so their floating-point operation sequences are identical.
-func logMomentsRuns(runs func(yield func(k, count int))) (mu, sigma float64) {
+// logMomentsTable computes the log-moments over a value table.  Both
+// entry points share it so their floating-point operation sequences
+// are identical.
+func logMomentsTable(counts []valueCount) (mu, sigma float64) {
 	n := 0
 	sum := 0.0
-	runs(func(k, count int) {
-		n += count
-		sum += float64(count) * math.Log(float64(k))
-	})
+	for _, vc := range counts {
+		n += vc.c
+		sum += float64(vc.c) * math.Log(float64(vc.k))
+	}
 	if n == 0 {
 		return math.NaN(), math.NaN()
 	}
 	mu = sum / float64(n)
 	var ss float64
-	runs(func(k, count int) {
-		d := math.Log(float64(k)) - mu
-		ss += float64(count) * d * d
-	})
+	for _, vc := range counts {
+		d := math.Log(float64(vc.k)) - mu
+		ss += float64(vc.c) * d * d
+	}
 	return mu, math.Sqrt(ss / float64(n))
+}
+
+// valueCount is one distinct value of a sample and its multiplicity.
+type valueCount struct{ k, c int }
+
+// tally returns the value table of data, its distinct values >= 1 in
+// ascending order each with its multiplicity, and the number n of
+// observations >= 1.  Every sum over a sample in this package that
+// must be bitwise-reproducible runs over such a table, in this order.
+func tally(data []int) (counts []valueCount, n int) {
+	sorted := make([]int, 0, len(data))
+	for _, k := range data {
+		if k >= 1 {
+			sorted = append(sorted, k)
+		}
+	}
+	sort.Ints(sorted)
+	for _, k := range sorted {
+		if last := len(counts) - 1; last >= 0 && counts[last].k == k {
+			counts[last].c++
+		} else {
+			counts = append(counts, valueCount{k, 1})
+		}
+	}
+	return counts, len(sorted)
+}
+
+// tallyHist returns the value table of a histogram (hist[k]
+// observations of value k) over the values k >= from, from >= 1.
+func tallyHist(hist []int, from int) []valueCount {
+	var counts []valueCount
+	for k := from; k < len(hist); k++ {
+		if hist[k] > 0 {
+			counts = append(counts, valueCount{k, hist[k]})
+		}
+	}
+	return counts
 }

@@ -231,20 +231,40 @@ func lognormalZ(mu, sigma float64) float64 {
 }
 
 // LognormalLogPMF returns ln p(k) of the discrete lognormal with the
-// given parameters, for k >= 1.
+// given parameters, for k >= 1.  It recomputes Z(μ,σ) on every call;
+// evaluate many points through LognormalLogPMFFunc.
 func LognormalLogPMF(k int, mu, sigma float64) float64 {
-	if k < 1 {
-		return math.Inf(-1)
+	return LognormalLogPMFFunc(mu, sigma)(k)
+}
+
+// LognormalLogPMFFunc returns k ↦ ln p(k) of the discrete lognormal,
+// with the normalizer Z(μ,σ) computed once up front.
+func LognormalLogPMFFunc(mu, sigma float64) func(k int) float64 {
+	logZ := math.Log(lognormalZ(mu, sigma))
+	return func(k int) float64 {
+		if k < 1 {
+			return math.Inf(-1)
+		}
+		d := math.Log(float64(k)) - mu
+		return -d*d/(2*sigma*sigma) - math.Log(float64(k)) - logZ
 	}
-	d := math.Log(float64(k)) - mu
-	return -d*d/(2*sigma*sigma) - math.Log(float64(k)) - math.Log(lognormalZ(mu, sigma))
 }
 
 // PowerLawLogPMF returns ln p(k) of the discrete power law
-// p(k) = k^{-α} / ζ(α, xmin) for k >= xmin.
+// p(k) = k^{-α} / ζ(α, xmin) for k >= xmin.  It recomputes ζ on every
+// call; evaluate many points through PowerLawLogPMFFunc.
 func PowerLawLogPMF(k int, alpha float64, xmin int) float64 {
-	if k < xmin {
-		return math.Inf(-1)
+	return PowerLawLogPMFFunc(alpha, xmin)(k)
+}
+
+// PowerLawLogPMFFunc returns k ↦ ln p(k) of the discrete power law,
+// with the normalizer ζ(α, xmin) computed once up front.
+func PowerLawLogPMFFunc(alpha float64, xmin int) func(k int) float64 {
+	logZeta := math.Log(HurwitzZeta(alpha, float64(xmin)))
+	return func(k int) float64 {
+		if k < xmin {
+			return math.Inf(-1)
+		}
+		return -alpha*math.Log(float64(k)) - logZeta
 	}
-	return -alpha*math.Log(float64(k)) - math.Log(HurwitzZeta(alpha, float64(xmin)))
 }

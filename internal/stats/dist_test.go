@@ -160,15 +160,17 @@ func TestHurwitzZeta(t *testing.T) {
 func TestLogPMFsNormalize(t *testing.T) {
 	// Both discrete PMFs must sum to ~1.
 	sum := 0.0
+	lnPMF := LognormalLogPMFFunc(1.2, 0.9)
 	for k := 1; k < 100000; k++ {
-		sum += math.Exp(LognormalLogPMF(k, 1.2, 0.9))
+		sum += math.Exp(lnPMF(k))
 	}
 	if math.Abs(sum-1) > 5e-3 {
 		t.Errorf("lognormal PMF sums to %v", sum)
 	}
 	sum = 0
+	plPMF := PowerLawLogPMFFunc(2.2, 2)
 	for k := 2; k < 200000; k++ {
-		sum += math.Exp(PowerLawLogPMF(k, 2.2, 2))
+		sum += math.Exp(plPMF(k))
 	}
 	if math.Abs(sum-1) > 5e-3 {
 		t.Errorf("power-law PMF sums to %v", sum)

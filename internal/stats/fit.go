@@ -50,7 +50,7 @@ func FitDiscreteLognormal(data []int) LognormalFit {
 	}
 	sigma := math.Sqrt(varL)
 
-	counts := countValues(data, 1)
+	counts, _ := tally(data)
 	ll := lognormalLogLik(counts, mu, sigma)
 
 	// Coordinate refinement with shrinking steps.  The discrete MLE
@@ -83,14 +83,17 @@ func FitDiscreteLognormal(data []int) LognormalFit {
 	return fit
 }
 
-func lognormalLogLik(counts map[int]int, mu, sigma float64) float64 {
+// lognormalLogLik sums the discrete-lognormal log-likelihood over the
+// value table in ascending value order, so a fit is the same to the bit
+// on every run.
+func lognormalLogLik(counts []valueCount, mu, sigma float64) float64 {
 	logZ := math.Log(lognormalZ(mu, sigma))
 	twoSig2 := 2 * sigma * sigma
 	ll := 0.0
-	for k, c := range counts {
-		lk := math.Log(float64(k))
+	for _, vc := range counts {
+		lk := math.Log(float64(vc.k))
 		d := lk - mu
-		ll += float64(c) * (-d*d/twoSig2 - lk - logZ)
+		ll += float64(vc.c) * (-d*d/twoSig2 - lk - logZ)
 	}
 	return ll
 }
@@ -110,41 +113,44 @@ func lognormalCDF(k int, mu, sigma float64) float64 {
 // minimizes the KS distance on the tail — the Clauset–Shalizi–Newman
 // procedure.  Set maxXmin <= 0 for an automatic cap.
 func FitDiscretePowerLaw(data []int, maxXmin int) PowerLawFit {
-	clean := make([]int, 0, len(data))
-	for _, k := range data {
-		if k >= 1 {
-			clean = append(clean, k)
-		}
-	}
-	if len(clean) == 0 {
+	counts, n := tally(data)
+	if n == 0 {
 		return PowerLawFit{Alpha: math.NaN()}
 	}
-	sort.Ints(clean)
 	if maxXmin <= 0 {
-		// Keep at least 10% of the data in the tail.
-		maxXmin = clean[len(clean)*9/10]
+		// Keep at least 10% of the data in the tail: cap xmin at the
+		// value of sorted observation n*9/10.
+		cum := 0
+		for _, vc := range counts {
+			cum += vc.c
+			if cum > n*9/10 {
+				maxXmin = vc.k
+				break
+			}
+		}
 		if maxXmin > 200 {
 			maxXmin = 200
 		}
 	}
-	best := PowerLawFit{KS: math.Inf(1), N: len(clean)}
-	uniq := uniqueSorted(clean)
-	for _, xmin := range uniq {
-		if xmin > maxXmin {
+	// Each candidate xmin is a distinct value; its tail is the suffix
+	// of the table from that value on.
+	best := PowerLawFit{KS: math.Inf(1), N: n}
+	for i, vc := range counts {
+		if vc.k > maxXmin {
 			break
 		}
-		fit := fitPowerLawAt(clean, xmin)
+		fit := fitPowerLawTable(counts[i:], vc.k)
 		if fit.NTail < 10 {
 			continue
 		}
 		if fit.KS < best.KS {
 			best = fit
-			best.N = len(clean)
+			best.N = n
 		}
 	}
 	if math.IsInf(best.KS, 1) {
-		best = fitPowerLawAt(clean, uniq[0])
-		best.N = len(clean)
+		best = fitPowerLawTable(counts, counts[0].k)
+		best.N = n
 	}
 	return best
 }
@@ -153,37 +159,11 @@ func FitDiscretePowerLaw(data []int, maxXmin int) PowerLawFit {
 // The paper's attribute social-degree evolution (Figure 11b) tracks the
 // exponent with a stable xmin.
 func FitPowerLawFixedXmin(data []int, xmin int) PowerLawFit {
-	clean := make([]int, 0, len(data))
-	for _, k := range data {
-		if k >= 1 {
-			clean = append(clean, k)
-		}
-	}
-	sort.Ints(clean)
-	fit := fitPowerLawAt(clean, xmin)
-	fit.N = len(clean)
+	counts, n := tally(data)
+	i := sort.Search(len(counts), func(i int) bool { return counts[i].k >= xmin })
+	fit := fitPowerLawTable(counts[i:], xmin)
+	fit.N = n
 	return fit
-}
-
-func fitPowerLawAt(sorted []int, xmin int) PowerLawFit {
-	i := sort.SearchInts(sorted, xmin)
-	tail := sorted[i:]
-	n := len(tail)
-	// Accumulate Σ ln k over distinct values ascending, weighted by
-	// multiplicity — the canonical order shared with FitPowerLawHist so
-	// histogram-folded fits are bitwise-identical to batch fits.
-	sumLogK := 0.0
-	counts := make(map[int]int)
-	for j := 0; j < n; {
-		l := j
-		for l < n && tail[l] == tail[j] {
-			l++
-		}
-		sumLogK += float64(l-j) * math.Log(float64(tail[j]))
-		counts[tail[j]] = l - j
-		j = l
-	}
-	return fitPowerLawTail(n, sumLogK, counts, xmin)
 }
 
 // FitPowerLawHist is FitPowerLawFixedXmin over a value histogram:
@@ -200,26 +180,23 @@ func FitPowerLawHist(hist []int, xmin int) PowerLawFit {
 	if xmin < 1 {
 		xmin = 1
 	}
-	n := 0
-	sumLogK := 0.0
-	counts := make(map[int]int)
-	for k := xmin; k < len(hist); k++ {
-		if hist[k] == 0 {
-			continue
-		}
-		n += hist[k]
-		sumLogK += float64(hist[k]) * math.Log(float64(k))
-		counts[k] = hist[k]
-	}
-	fit := fitPowerLawTail(n, sumLogK, counts, xmin)
+	fit := fitPowerLawTable(tallyHist(hist, xmin), xmin)
 	fit.N = total
 	return fit
 }
 
-// fitPowerLawTail runs the fixed-xmin discrete MLE given the tail's
-// sufficient statistics: the tail size n, Σ ln k over the tail, and
-// the tail's value counts (for the KS distance).
-func fitPowerLawTail(n int, sumLogK float64, counts map[int]int, xmin int) PowerLawFit {
+// fitPowerLawTable runs the fixed-xmin discrete MLE over tail, the
+// value table of the observations k >= xmin.  It accumulates Σ ln k
+// over the distinct values ascending, weighted by multiplicity: the
+// canonical order every entry point shares, so histogram-folded fits
+// are bitwise-identical to batch fits.
+func fitPowerLawTable(tail []valueCount, xmin int) PowerLawFit {
+	n := 0
+	sumLogK := 0.0
+	for _, vc := range tail {
+		n += vc.c
+		sumLogK += float64(vc.c) * math.Log(float64(vc.k))
+	}
 	if n == 0 {
 		return PowerLawFit{Alpha: math.NaN(), Xmin: xmin, KS: math.Inf(1)}
 	}
@@ -251,7 +228,7 @@ func fitPowerLawTail(n int, sumLogK float64, counts map[int]int, xmin int) Power
 	alpha := (lo + hi) / 2
 	fit := PowerLawFit{Alpha: alpha, Xmin: xmin, NTail: n, LogLik: logLik(alpha)}
 	zeta := HurwitzZeta(alpha, float64(xmin))
-	fit.KS = ksDistance(counts, n, func(k int) float64 {
+	fit.KS = ksDistance(tail, n, func(k int) float64 {
 		// P(X <= k) = 1 - ζ(α, k+1)/ζ(α, xmin)
 		return 1 - HurwitzZeta(alpha, float64(k+1))/zeta
 	})
@@ -270,12 +247,16 @@ func CompareLognormalPowerLaw(data []int, ln LognormalFit, pl PowerLawFit) (r, p
 	// comparison is fair: the lognormal log-PMF is renormalized by its
 	// tail mass P(K >= xmin), computed from the discrete PMF itself
 	// (mixing in the continuous CDF approximation here can yield
-	// conditional probabilities above one for small μ).
+	// conditional probabilities above one for small μ).  Each model's
+	// normalizer is computed once; the differences stay in data order,
+	// the order MeanStd sums them in.
+	lnPMF := LognormalLogPMFFunc(ln.Mu, ln.Sigma)
+	plPMF := PowerLawLogPMFFunc(pl.Alpha, pl.Xmin)
 	lnTail := 0.0
 	if pl.Xmin > 1 {
 		head := 0.0
 		for k := 1; k < pl.Xmin; k++ {
-			head += math.Exp(LognormalLogPMF(k, ln.Mu, ln.Sigma))
+			head += math.Exp(lnPMF(k))
 		}
 		if head >= 1 {
 			return math.Inf(-1), 0 // lognormal puts no mass on the tail
@@ -287,7 +268,7 @@ func CompareLognormalPowerLaw(data []int, ln LognormalFit, pl PowerLawFit) (r, p
 		if k < pl.Xmin {
 			continue
 		}
-		d := (LognormalLogPMF(k, ln.Mu, ln.Sigma) - lnTail) - PowerLawLogPMF(k, pl.Alpha, pl.Xmin)
+		d := (lnPMF(k) - lnTail) - plPMF(k)
 		diffs = append(diffs, d)
 	}
 	n := len(diffs)
@@ -335,46 +316,21 @@ func SelectModel(data []int) BestFit {
 	return BestFit{Lognormal: ln, PowerLaw: pl, R: r, P: p, Winner: winner}
 }
 
-func countValues(data []int, min int) map[int]int {
-	m := make(map[int]int)
-	for _, k := range data {
-		if k >= min {
-			m[k]++
-		}
-	}
-	return m
-}
-
-func uniqueSorted(sorted []int) []int {
-	out := sorted[:0:0]
-	for i, k := range sorted {
-		if i == 0 || k != sorted[i-1] {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // ksDistance computes the KS statistic between the empirical CDF of
-// the counted sample (n observations total) and the model CDF.
-func ksDistance(counts map[int]int, n int, cdf func(int) float64) float64 {
+// the value table (n observations total) and the model CDF.
+func ksDistance(counts []valueCount, n int, cdf func(int) float64) float64 {
 	if n == 0 {
 		return math.Inf(1)
 	}
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	// For discrete distributions the KS statistic is the maximum over
 	// support points of |ECDF(k) - CDF(k)|; there is no "just below"
 	// comparison as in the continuous case.
 	cum := 0
 	maxD := 0.0
-	for _, k := range keys {
-		cum += counts[k]
+	for _, vc := range counts {
+		cum += vc.c
 		ecdf := float64(cum) / float64(n)
-		if d := math.Abs(ecdf - cdf(k)); d > maxD {
+		if d := math.Abs(ecdf - cdf(vc.k)); d > maxD {
 			maxD = d
 		}
 	}

@@ -117,7 +117,7 @@ func TestFitPowerLawFixedXmin(t *testing.T) {
 }
 
 func TestKSDistanceBounds(t *testing.T) {
-	counts := map[int]int{1: 5, 2: 3, 3: 2}
+	counts := []valueCount{{1, 5}, {2, 3}, {3, 2}}
 	// Perfect model CDF gives KS ~ 0.
 	d := ksDistance(counts, 10, func(k int) float64 {
 		switch {
