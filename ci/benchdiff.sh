@@ -15,6 +15,10 @@
 #   sh ci/benchdiff.sh            compare against BENCH_baseline.json
 #   sh ci/benchdiff.sh -update    rewrite BENCH_baseline.json
 #
+# The run starts with a host-stamp line (nproc, go version, CPU model
+# and the -cpu setting) and warns, without failing, when the host has
+# fewer cores than -cpu.
+#
 # The committed baseline is recorded on one machine; when CI hardware
 # differs materially, loosen the gate with BENCHDIFF_THRESHOLD instead
 # of re-baselining from a noisy runner.
@@ -25,6 +29,7 @@ COUNT=${BENCHDIFF_COUNT:-5}
 ATTEMPTS=${BENCHDIFF_ATTEMPTS:-3}
 BENCHTIME=${BENCHDIFF_BENCHTIME:-1s}
 BASELINE=BENCH_baseline.json
+CPUS=4
 
 SNAPSTORE_BENCHES='^(BenchmarkTimelineLoad|BenchmarkTimelineMap)$'
 SANSERVE_BENCHES='^(BenchmarkCachedFigureRequest|BenchmarkCachedCompareRequest|BenchmarkSnapshotStats|BenchmarkStreamRows)$'
@@ -54,10 +59,20 @@ collect() {
   END { for (n in best) print n, best[n] }' "$raw" | sort
 }
 
-echo "benchdiff: running hot-path benchmarks ($COUNT x $BENCHTIME each, -cpu 4)"
-go test -run '^$' -bench "$SNAPSTORE_BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" -cpu 4 ./internal/snapstore >>"$raw"
-go test -run '^$' -bench "$SANSERVE_BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" -cpu 4 ./internal/sanserve >>"$raw"
-go test -run '^$' -bench "$ROOT_BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" -cpu 4 . >>"$raw"
+# Host stamp: the numbers below mean something only next to the host
+# they were taken on.  Fewer cores than -cpu oversubscribes the host,
+# which the gate tolerates but the reader should know about.
+ncpu=$(nproc)
+model=$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+echo "benchdiff: host nproc=$ncpu go=$(go env GOVERSION) cpu=\"${model:-unknown}\" -cpu $CPUS"
+if [ "$ncpu" -lt "$CPUS" ]; then
+  echo "benchdiff: warning: nproc $ncpu < $CPUS: -cpu $CPUS oversubscribes this host; timings are not comparable to a $CPUS-core host" >&2
+fi
+
+echo "benchdiff: running hot-path benchmarks ($COUNT x $BENCHTIME each, -cpu $CPUS)"
+go test -run '^$' -bench "$SNAPSTORE_BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" -cpu "$CPUS" ./internal/snapstore >>"$raw"
+go test -run '^$' -bench "$SANSERVE_BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" -cpu "$CPUS" ./internal/sanserve >>"$raw"
+go test -run '^$' -bench "$ROOT_BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" -cpu "$CPUS" . >>"$raw"
 
 current=$(collect)
 
@@ -112,7 +127,7 @@ while [ -n "$failing" ] && ! echo "$failing" | grep -q MISSING && [ "$attempt" -
   attempt=$((attempt + 1))
   regex="^($(echo "$failing" | paste -sd'|' -))$"
   echo "benchdiff: retrying over-threshold benchmarks (attempt $attempt/$ATTEMPTS): $regex"
-  go test -run '^$' -bench "$regex" -benchtime "$BENCHTIME" -count "$COUNT" -cpu 4 ./internal/snapstore ./internal/sanserve . >>"$raw" 2>/dev/null || true
+  go test -run '^$' -bench "$regex" -benchtime "$BENCHTIME" -count "$COUNT" -cpu "$CPUS" ./internal/snapstore ./internal/sanserve . >>"$raw" 2>/dev/null || true
   current=$(collect)
   failing=$(compare)
 done

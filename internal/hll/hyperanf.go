@@ -25,19 +25,30 @@ type Options struct {
 // counters of u's out-neighbors, so after t rounds counter(u)
 // approximates the t-ball around u.  Iteration stops when no counter
 // changes (exact convergence of the register sets).
+//
+// The counters live in two flat register matrices, cur and next, with
+// counter u at words [u*w, (u+1)*w).  Each round is a Jacobi sweep that
+// reads cur and writes next, and next[u] == cur[u] holds at the start
+// of every round.  A counter that did not change last round is already
+// contained in every predecessor's counter, so a node unions only the
+// out-neighbors that changed, and only changed counters are copied back
+// and re-estimated.  Per-node estimates are summed in node order, so
+// each N[t] has the bits a full recount would give.
 func HyperANF(g *san.SAN, opt Options) NeighborhoodFunction {
 	p := opt.Precision
 	if p == 0 {
 		p = 8
 	}
+	checkPrecision(p)
 	n := g.NumSocial()
-	cur := make([]*Counter, n)
-	next := make([]*Counter, n)
-	for i := 0; i < n; i++ {
-		cur[i] = NewCounter(p)
-		cur[i].Add(Hash(uint64(i), opt.Seed))
-		next[i] = NewCounter(p)
+	w := wordsPer(p)
+	cur := make([]uint64, n*w)
+	est := make([]float64, n)
+	for u := 0; u < n; u++ {
+		addWords(cur[u*w:(u+1)*w], p, Hash(uint64(u), opt.Seed))
+		est[u] = estimateWords(cur[u*w:(u+1)*w], p)
 	}
+	next := append([]uint64(nil), cur...)
 	maxIter := opt.MaxIter
 	if maxIter <= 0 {
 		maxIter = 32
@@ -45,30 +56,48 @@ func HyperANF(g *san.SAN, opt Options) NeighborhoodFunction {
 			maxIter += 3
 		}
 	}
-	nf := NeighborhoodFunction{N: []float64{sumEstimates(cur)}}
+	// changed[u] records whether counter u changed in the previous
+	// round; before the first round every counter counts as new.
+	changed := make([]bool, n)
+	for u := range changed {
+		changed[u] = true
+	}
+	dirty := make([]int32, 0, n) // counters changed in this round
+	nf := NeighborhoodFunction{N: []float64{sumFloats(est)}}
 	for iter := 0; iter < maxIter; iter++ {
-		changed := false
+		dirty = dirty[:0]
 		for u := 0; u < n; u++ {
-			next[u].Assign(cur[u])
+			dst := next[u*w : (u+1)*w]
+			grew := false
 			for _, v := range g.Out(san.NodeID(u)) {
-				if next[u].Union(cur[v]) {
-					changed = true
+				if changed[v] && unionWords(dst, cur[int(v)*w:(int(v)+1)*w]) {
+					grew = true
 				}
 			}
+			if grew {
+				dirty = append(dirty, int32(u))
+			}
 		}
-		cur, next = next, cur
-		nf.N = append(nf.N, sumEstimates(cur))
-		if !changed {
+		clear(changed)
+		for _, u := range dirty {
+			c := cur[int(u)*w : (int(u)+1)*w]
+			copy(c, next[int(u)*w:(int(u)+1)*w])
+			est[u] = estimateWords(c, p)
+			changed[u] = true
+		}
+		nf.N = append(nf.N, sumFloats(est))
+		if len(dirty) == 0 {
 			break
 		}
 	}
 	return nf
 }
 
-func sumEstimates(cs []*Counter) float64 {
+// sumFloats adds xs in index order.
+func sumFloats(xs []float64) float64 {
 	var s float64
-	for _, c := range cs {
-		s += c.Estimate()
+	for _, x := range xs {
+		s += x
 	}
 	return s
 }
