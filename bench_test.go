@@ -60,31 +60,17 @@ func BenchmarkFig19Applications(b *testing.B)       { benchFigure(b, "19") }
 func BenchmarkTextTriangleCensus(b *testing.B)      { benchFigure(b, "tc") }
 func BenchmarkTextDistanceDist(b *testing.B)        { benchFigure(b, "dist") }
 
-// --- Dataset build: incremental fold vs snapshot recompute ---------
+// --- Dataset build ------------------------------------------------
 
-// BenchmarkDatasetBuild measures the timeline-backed dataset build on
-// the default incremental path: one snapstore fold advances an
-// evolving SAN day by day, exact metrics come from delta-updated
-// accumulators, and only the sampled estimators run per day.  This is
-// the first-touch cost of a sanserve mount and of every `sangen sweep`
-// scenario.
+// BenchmarkDatasetBuild measures the timeline-backed dataset build:
+// one snapstore cursor walk advances an evolving SAN day by day, exact
+// metrics come from delta-updated accumulators, and only the sampled
+// estimators run per day.  This is the first-touch cost of a sanserve
+// mount and of every `sangen sweep` scenario.
 func BenchmarkDatasetBuild(b *testing.B) {
-	benchDatasetBuild(b, false)
-}
-
-// BenchmarkDatasetBuildRecompute measures the same build on the
-// retained reference path (every day reconstructed and measured from a
-// cold graph); the two produce identical DayMetrics, so the ratio to
-// BenchmarkDatasetBuild is the fold's speedup (>= 3x on one core).
-func BenchmarkDatasetBuildRecompute(b *testing.B) {
-	benchDatasetBuild(b, true)
-}
-
-func benchDatasetBuild(b *testing.B, recompute bool) {
 	cfg := experiments.QuickConfig()
 	src := experiments.GetDataset(cfg) // simulate + pack once, cached across benchmarks
 	full, view := src.FullTimeline(), src.ViewTimeline()
-	cfg.Recompute = recompute
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ds := experiments.NewTimelineDataset(cfg, full, view)

@@ -38,11 +38,9 @@ SANSERVE_BENCHES='^(BenchmarkCachedFigureRequest|BenchmarkCachedCompareRequest|B
 # RunTimelines with its allocation ceiling; BenchmarkStreamPack: the
 # same simulation streamed through a StreamWriter to a finalized
 # on-disk timeline, the `sangen -stream-out` kernel; BenchmarkSweep:
-# the parallel scenario sweep).  The recompute twin is benchmarked too
-# so the committed baseline documents the fold's speedup ratio and a
-# regression in either path trips the gate.  StreamPackBoth is the
-# full+view stream (simulate, crawl view, two delta encodes).
-ROOT_BENCHES='^(BenchmarkDatasetBuild|BenchmarkDatasetBuildRecompute|BenchmarkSimulate|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkSweep)$'
+# the parallel scenario sweep).  StreamPackBoth is the full+view
+# stream (simulate, crawl view, two delta encodes).
+ROOT_BENCHES='^(BenchmarkDatasetBuild|BenchmarkSimulate|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkSweep)$'
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT

@@ -65,7 +65,6 @@ func main() {
 		maxBuilds   = flag.Int("max-builds", 0, "max concurrent uncached figure builds; excess cold requests get 429 + Retry-After (0 = unlimited)")
 		cache       = flag.Int("cache", 256, "figure result cache entries")
 		snapcache   = flag.Int("snapcache", 8, "reconstructed snapshots cached per mounted timeline")
-		workers     = flag.Int("workers", 0, "day-sweep worker pool size (0 = GOMAXPROCS)")
 		quick       = flag.Bool("quick", false, "quick experiment config for model figures")
 		seed        = flag.Uint64("seed", 0, "override experiment seed")
 		logFormat   = flag.String("log", "text", "structured log format: text or json")
@@ -111,7 +110,6 @@ func main() {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	cfg.Workers = *workers
 
 	var auditFile *os.File
 	opts := sanserve.Options{

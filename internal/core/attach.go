@@ -177,21 +177,6 @@ func (at *Attacher) bonusFactor(a int) float64 {
 // state under the configured model.  It excludes u itself and existing
 // out-neighbors of u; it returns -1 if no valid target can be found.
 func (at *Attacher) Sample(g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
-	return at.sample(g, u, rng, true)
-}
-
-// SampleNaive is the retained reference sampler: it consumes exactly
-// the same uniform draws as Sample but resolves each draw with a naive
-// linear cumulative scan instead of the Fenwick descent or the prefix
-// binary search.  The stream-equivalence tests pin Sample against it;
-// it is not on any hot path.
-func (at *Attacher) SampleNaive(g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
-	return at.sample(g, u, rng, false)
-}
-
-// sample implements Sample and SampleNaive: identical control flow and
-// rng-draw discipline, with fast selecting the O(log n) resolvers.
-func (at *Attacher) sample(g *san.SAN, u san.NodeID, rng *rand.Rand, fast bool) san.NodeID {
 	n := g.NumSocial()
 	if n < 2 {
 		return -1
@@ -201,10 +186,10 @@ func (at *Attacher) sample(g *san.SAN, u san.NodeID, rng *rand.Rand, fast bool) 
 		if v := at.sampleHeuristic(g, u, rng); v >= 0 {
 			return v
 		}
-		return at.sampleBase(g, u, rng, fast)
+		return at.sampleBase(g, u, rng)
 	}
 	if !attrAware || at.Beta == 0 || g.AttrDegree(u) == 0 {
-		return at.sampleBase(g, u, rng, fast)
+		return at.sampleBase(g, u, rng)
 	}
 
 	// Exact mixture sampling: total weight splits into the attribute-
@@ -216,9 +201,9 @@ func (at *Attacher) sample(g *san.SAN, u san.NodeID, rng *rand.Rand, fast bool) 
 		if v := at.sampleHeuristic(g, u, rng); v >= 0 {
 			return v
 		}
-		return at.sampleBase(g, u, rng, fast)
+		return at.sampleBase(g, u, rng)
 	}
-	return at.mixtureDraw(g, u, rng, fast, shared, prefix, bonusTotal, baseTotal)
+	return at.mixtureDraw(g, u, rng, shared, prefix, bonusTotal, baseTotal)
 }
 
 // prepareMixture builds the rng-free half of exact mixture sampling for
@@ -257,54 +242,19 @@ func (at *Attacher) prepareMixture(g *san.SAN, u san.NodeID) (shared []sharedCan
 
 // mixtureDraw resolves one target from a prepared mixture, consuming
 // exactly the rng draws the historical inline loop consumed.
-func (at *Attacher) mixtureDraw(g *san.SAN, u san.NodeID, rng *rand.Rand, fast bool, shared []sharedCand, prefix []float64, bonusTotal, baseTotal float64) san.NodeID {
+func (at *Attacher) mixtureDraw(g *san.SAN, u san.NodeID, rng *rand.Rand, shared []sharedCand, prefix []float64, bonusTotal, baseTotal float64) san.NodeID {
 	for tries := 0; tries < 64; tries++ {
 		var v san.NodeID
 		if rng.Float64()*(baseTotal+bonusTotal) < bonusTotal {
-			v = pickShared(shared, prefix, bonusTotal, rng, fast)
+			v = pickShared(shared, prefix, bonusTotal, rng)
 		} else {
-			v = at.drawBase(g, rng, fast)
+			v = at.drawBase(g, rng)
 		}
 		if v >= 0 && v != u && !g.HasSocialEdge(u, v) {
 			return v
 		}
 	}
 	return at.fallbackScan(g, u, rng)
-}
-
-// SampleBatch draws k targets for source u, appended to dst.  It is
-// draw-for-draw equivalent to k sequential Sample calls — same results,
-// same rng stream — under the commuting condition: no node or edge may
-// be inserted between the draws (including by the caller consuming
-// earlier results), because Sample's candidate enumeration and weight
-// tables are functions of the network state at call time.  When the
-// condition holds, the enumeration provably commutes past the draws and
-// SampleBatch hoists it: the shared-candidate scan and prefix-sum build
-// (both rng-free) run once instead of k times, which is the dominant
-// cost for attribute-heavy sources.  Callers that insert the sampled
-// edges as they go (the simulator's wake loop) must keep calling Sample
-// per draw — their draw stream does not commute.
-func (at *Attacher) SampleBatch(g *san.SAN, u san.NodeID, rng *rand.Rand, k int, dst []san.NodeID) []san.NodeID {
-	if k <= 0 {
-		return dst
-	}
-	attrAware := at.Kind == AttachLAPA || at.Kind == AttachPAPA
-	hoistable := attrAware && !at.Heuristic && at.Beta != 0 &&
-		g.AttrDegree(u) != 0 && g.NumSocial() >= 2
-	if hoistable {
-		if shared, prefix, bonusTotal, baseTotal, ok := at.prepareMixture(g, u); ok {
-			for i := 0; i < k; i++ {
-				dst = append(dst, at.mixtureDraw(g, u, rng, true, shared, prefix, bonusTotal, baseTotal))
-			}
-			return dst
-		}
-		// Enumeration over limit: the per-draw path falls back to the
-		// heuristic exactly as Sample does.
-	}
-	for i := 0; i < k; i++ {
-		dst = append(dst, at.sample(g, u, rng, true))
-	}
-	return dst
 }
 
 // sharedCand is one attribute-sharing candidate.
@@ -367,25 +317,16 @@ func (at *Attacher) buildShared(g *san.SAN, u san.NodeID, limit int) ([]sharedCa
 }
 
 // pickShared resolves one uniform draw over the shared-candidate bonus
-// mass: a binary search over the prefix sums (fast), or the equivalent
-// linear cumulative scan (reference).  Both return -1 when rounding
-// pushes the draw past the final prefix, matching the historical
-// linear-scan behavior (the caller retries).
-func pickShared(shared []sharedCand, prefix []float64, total float64, rng *rand.Rand, fast bool) san.NodeID {
+// mass by binary search over the prefix sums.  It returns -1 when
+// rounding pushes the draw past the final prefix, matching the
+// historical linear-scan behavior (the caller retries).
+func pickShared(shared []sharedCand, prefix []float64, total float64, rng *rand.Rand) san.NodeID {
 	x := rng.Float64() * total
-	if fast {
-		i := sort.Search(len(prefix), func(i int) bool { return prefix[i] >= x })
-		if i == len(prefix) {
-			return -1
-		}
-		return shared[i].v
+	i := sort.Search(len(prefix), func(i int) bool { return prefix[i] >= x })
+	if i == len(prefix) {
+		return -1
 	}
-	for i := range prefix {
-		if prefix[i] >= x {
-			return shared[i].v
-		}
-	}
-	return -1
+	return shared[i].v
 }
 
 // SamplePAWindow draws a target ∝ (d_in+1) computed over only the
@@ -397,7 +338,7 @@ func pickShared(shared []sharedCand, prefix []float64, total float64, rng *rand.
 // exponents fall back to SamplePA.
 func (at *Attacher) SamplePAWindow(g *san.SAN, u san.NodeID, rng *rand.Rand, window int) san.NodeID {
 	if at.Alpha != 1 || window <= 0 || len(at.ballot) == 0 {
-		return at.sampleBase(g, u, rng, true)
+		return at.sampleBase(g, u, rng)
 	}
 	n := g.NumSocial()
 	start := 0
@@ -424,13 +365,13 @@ func (at *Attacher) SamplePAWindow(g *san.SAN, u san.NodeID, rng *rand.Rand, win
 // simulator uses it for subscriber behavior (following popular
 // accounts without attribute affinity).
 func (at *Attacher) SamplePA(g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
-	return at.sampleBase(g, u, rng, true)
+	return at.sampleBase(g, u, rng)
 }
 
 // sampleBase draws from f ∝ (d_in+1)^α ignoring attributes.
-func (at *Attacher) sampleBase(g *san.SAN, u san.NodeID, rng *rand.Rand, fast bool) san.NodeID {
+func (at *Attacher) sampleBase(g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
 	for tries := 0; tries < 64; tries++ {
-		v := at.drawBase(g, rng, fast)
+		v := at.drawBase(g, rng)
 		if v >= 0 && v != u && !g.HasSocialEdge(u, v) {
 			return v
 		}
@@ -441,10 +382,9 @@ func (at *Attacher) sampleBase(g *san.SAN, u san.NodeID, rng *rand.Rand, fast bo
 // drawBase samples v with probability ∝ (d_in(v)+1)^α using one rng
 // draw: a uniform index for α = 0, the O(1) ballot decomposition for
 // α = 1 ("every node once" plus "every in-edge once"), and otherwise a
-// single uniform draw resolved against the incremental weight index —
-// a Fenwick descent (fast) or the equivalent linear cumulative scan
-// over the same per-node weights (reference).
-func (at *Attacher) drawBase(g *san.SAN, rng *rand.Rand, fast bool) san.NodeID {
+// single uniform draw resolved by a Fenwick descent over the
+// incremental weight index.
+func (at *Attacher) drawBase(g *san.SAN, rng *rand.Rand) san.NodeID {
 	n := g.NumSocial()
 	if n == 0 {
 		return -1
@@ -463,19 +403,7 @@ func (at *Attacher) drawBase(g *san.SAN, rng *rand.Rand, fast bool) san.NodeID {
 	if t.Len() == 0 {
 		return -1
 	}
-	x := rng.Float64() * t.Total()
-	if fast {
-		return san.NodeID(t.Search(x))
-	}
-	var cum float64
-	last := t.Len() - 1
-	for v := 0; v <= last; v++ {
-		cum += at.powAlpha(float64(g.InDegree(san.NodeID(v))) + 1)
-		if cum > x {
-			return san.NodeID(v)
-		}
-	}
-	return san.NodeID(last)
+	return san.NodeID(t.Search(rng.Float64() * t.Total()))
 }
 
 // sampleHeuristic implements the §7 LAPA approximation: pick one of

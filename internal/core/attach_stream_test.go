@@ -31,12 +31,101 @@ func notifyAll(at *Attacher, g *san.SAN) {
 	})
 }
 
-// TestSampleStreamEquivalence pins the tentpole invariant: the Fenwick
-// /binary-search sampler and the retained naive linear-scan sampler
-// consume the same uniform draws and pick the same node, for every
-// AttachKind and exponent regime, over an evolving graph.  The rng
-// states are compared afterwards, so the test also proves the two
-// samplers consumed *exactly* the same number of draws.
+// sampleNaive is the reference sampler Sample is pinned against: the
+// same control flow and rng-draw discipline, but every weighted draw is
+// resolved with a linear cumulative scan instead of the Fenwick descent
+// (drawBase) or the prefix binary search (pickShared).
+func sampleNaive(at *Attacher, g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
+	if g.NumSocial() < 2 {
+		return -1
+	}
+	attrAware := at.Kind == AttachLAPA || at.Kind == AttachPAPA
+	if attrAware && at.Heuristic {
+		if v := at.sampleHeuristic(g, u, rng); v >= 0 {
+			return v
+		}
+		return sampleBaseNaive(at, g, u, rng)
+	}
+	if !attrAware || at.Beta == 0 || g.AttrDegree(u) == 0 {
+		return sampleBaseNaive(at, g, u, rng)
+	}
+	shared, prefix, bonusTotal, baseTotal, ok := at.prepareMixture(g, u)
+	if !ok {
+		if v := at.sampleHeuristic(g, u, rng); v >= 0 {
+			return v
+		}
+		return sampleBaseNaive(at, g, u, rng)
+	}
+	for tries := 0; tries < 64; tries++ {
+		var v san.NodeID = -1
+		if rng.Float64()*(baseTotal+bonusTotal) < bonusTotal {
+			x := rng.Float64() * bonusTotal
+			for i := range prefix {
+				if prefix[i] >= x {
+					v = shared[i].v
+					break
+				}
+			}
+		} else {
+			v = drawBaseNaive(at, g, rng)
+		}
+		if v >= 0 && v != u && !g.HasSocialEdge(u, v) {
+			return v
+		}
+	}
+	return at.fallbackScan(g, u, rng)
+}
+
+// sampleBaseNaive is sampleBase over drawBaseNaive.
+func sampleBaseNaive(at *Attacher, g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
+	for tries := 0; tries < 64; tries++ {
+		v := drawBaseNaive(at, g, rng)
+		if v >= 0 && v != u && !g.HasSocialEdge(u, v) {
+			return v
+		}
+	}
+	return at.fallbackScan(g, u, rng)
+}
+
+// drawBaseNaive is drawBase with the general-α draw resolved by a
+// linear cumulative scan over the per-node weights (d_in+1)^α.
+func drawBaseNaive(at *Attacher, g *san.SAN, rng *rand.Rand) san.NodeID {
+	n := g.NumSocial()
+	if n == 0 {
+		return -1
+	}
+	if at.Alpha == 0 {
+		return san.NodeID(rng.IntN(n))
+	}
+	if at.Alpha == 1 {
+		i := rng.IntN(n + len(at.ballot))
+		if i < n {
+			return san.NodeID(i)
+		}
+		return at.ballot[i-n]
+	}
+	t := at.fenwick()
+	if t.Len() == 0 {
+		return -1
+	}
+	x := rng.Float64() * t.Total()
+	var cum float64
+	last := t.Len() - 1
+	for v := 0; v <= last; v++ {
+		cum += at.powAlpha(float64(g.InDegree(san.NodeID(v))) + 1)
+		if cum > x {
+			return san.NodeID(v)
+		}
+	}
+	return san.NodeID(last)
+}
+
+// TestSampleStreamEquivalence pins the sampler invariant: the Fenwick
+// /binary-search sampler and the naive linear-scan reference
+// (sampleNaive) consume the same uniform draws and pick the same node,
+// for every AttachKind and exponent regime, over an evolving graph.
+// The rng states are compared afterwards, so the test also proves the
+// two samplers consumed *exactly* the same number of draws.
 func TestSampleStreamEquivalence(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -69,7 +158,7 @@ func TestSampleStreamEquivalence(t *testing.T) {
 			for i := 0; i < draws; i++ {
 				u := san.NodeID(i % n)
 				vf := fast.Sample(g, u, rngF)
-				vn := naive.SampleNaive(g, u, rngN)
+				vn := sampleNaive(naive, g, u, rngN)
 				if vf != vn {
 					t.Fatalf("draw %d (source %d): fast sampler picked %d, naive picked %d", i, u, vf, vn)
 				}

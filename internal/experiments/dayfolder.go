@@ -12,7 +12,7 @@ import (
 // DayFolder packages the per-day step of the incremental measurement
 // walk: exact accumulators advanced from each day's Delta plus the
 // sampled estimators run against the day's graph.  The batch fold
-// (measureTimelinesFold) and sanserve's /v1/stream handler share it,
+// (measureTimelines) and sanserve's /v1/stream handler share it,
 // which is what makes streamed per-day metrics bitwise-identical to
 // the batch figure values for the same day.
 //

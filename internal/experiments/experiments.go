@@ -7,9 +7,9 @@
 // One instrumented simulation run (Dataset) is shared by all of the
 // measurement figures; model-comparison figures generate their own
 // SANs from the core and zhel generators.  The run is packed into
-// snapstore timelines and every per-day metric is computed from
-// reconstructed snapshots on a worker pool, so the evolution figures
-// read from the storage layer rather than re-simulating.
+// snapstore timelines and every per-day metric is computed by one
+// incremental walk over them, so the evolution figures read from the
+// storage layer rather than re-simulating.
 package experiments
 
 import (
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -42,18 +41,6 @@ type Config struct {
 	Seed      uint64
 	DiamEvery int   // compute diameters every k-th day
 	HLLBits   uint8 // HyperANF precision
-	// Workers sizes the snapstore MapN pool (and its snapshot caches)
-	// on the Recompute path; 0 means GOMAXPROCS.  The default fold
-	// build is a single sequential walk and does not use it.
-	Workers int
-
-	// Recompute forces the pre-fold measurement path: every day is
-	// reconstructed through the snapstore worker pool and measured from
-	// a cold graph.  The default (false) folds the timelines forward
-	// incrementally, which produces identical DayMetrics; the recompute
-	// path is retained as the reference implementation for equivalence
-	// tests and benchmarks.
-	Recompute bool
 
 	// Progress, when set, receives day-by-day counts from dataset
 	// builds: simulation days from the instrumented gplus run, and
@@ -118,8 +105,8 @@ type DayMetrics struct {
 // backing work runs once on first access — with two backends:
 //
 //   - GetDataset runs the instrumented gplus simulation once,
-//     emitting packed snapshot timelines, and measures every day from
-//     reconstructed snapshots (the batch path).
+//     emitting packed snapshot timelines, and measures every day by
+//     folding them forward (the batch path).
 //   - NewTimelineDataset skips simulation entirely and measures an
 //     injected pair of packed timelines (the serving path: sanserve
 //     mounts .tl files and answers figures without re-simulating).
@@ -277,21 +264,22 @@ var modelOnly = map[string]bool{"16": true, "17": true, "18": true, "tc": true}
 // timelines instead of a simulation: full is the daily full-SAN
 // timeline and view the daily crawl-view timeline (view may be nil to
 // reuse full for both roles, e.g. when only one .tl file is mounted;
-// otherwise both timelines must cover the same number of days).  The
-// build folds the timelines forward incrementally — one evolving SAN
-// per role, exact metrics from delta-updated accumulators — unless
-// Cfg.Recompute selects the per-day snapshot recompute path; nothing
-// is ever re-simulated, and both paths measure identically.
+// otherwise both timelines must cover the same number of days, and at
+// least one).  The build folds the timelines forward incrementally —
+// one evolving SAN per role, exact metrics from delta-updated
+// accumulators; nothing is ever re-simulated.
 //
-// Accessors panic if a day fails to decode; callers serving untrusted
-// files should validate the timelines once up front (reconstruct the
-// final day) before handing them to drivers.
+// Accessors panic if a day fails to decode or the timelines have no
+// days; callers serving untrusted files should validate the timelines
+// once up front (reconstruct the final day) before handing them to
+// drivers.
 func NewTimelineDataset(cfg Config, full, view *snapstore.Timeline) *Dataset {
 	if view == nil {
 		view = full
 	}
 	return &Dataset{Cfg: cfg, build: func(d *Dataset, ctx context.Context) error {
-		return buildTimelineDataset(d, ctx, full, view)
+		d.full, d.view = full, view
+		return measureTimelines(d, ctx)
 	}}
 }
 
@@ -342,34 +330,6 @@ func buildSimDataset(ds *Dataset, ctx context.Context) error {
 	return measureTimelines(ds, ctx)
 }
 
-func buildTimelineDataset(ds *Dataset, ctx context.Context, full, view *snapstore.Timeline) error {
-	ds.full, ds.view = full, view
-	if err := measureTimelines(ds, ctx); err != nil {
-		return err
-	}
-	// The fold walk captures the halfway and final snapshots in
-	// passing; the recompute path (and the degenerate empty timeline)
-	// reconstructs whatever is still missing.
-	last := view.NumDays() - 1
-	var err error
-	if ds.halfView == nil {
-		if ds.halfView, err = view.ReconstructAt(halfDay(view.NumDays())); err != nil {
-			panic(fmt.Sprintf("experiments: reconstructing halfway view: %v", err))
-		}
-	}
-	if ds.finalView == nil {
-		if ds.finalView, err = view.ReconstructAt(last); err != nil {
-			panic(fmt.Sprintf("experiments: reconstructing final view: %v", err))
-		}
-	}
-	if ds.finalFull == nil {
-		if ds.finalFull, err = full.ReconstructAt(full.NumDays() - 1); err != nil {
-			panic(fmt.Sprintf("experiments: reconstructing final full SAN: %v", err))
-		}
-	}
-	return nil
-}
-
 // halfDay returns the 0-based index of the halfway crawl: 1-based day
 // 49 (the paper's), or the middle day of shorter timelines.
 func halfDay(numDays int) int {
@@ -380,30 +340,19 @@ func halfDay(numDays int) int {
 	return half
 }
 
-// measureTimelines fills ds.days.  Sampled estimators get a per-day
-// rng so the measurement of a day does not depend on evaluation order
-// — simulation-backed and timeline-backed datasets, fold and
-// recompute, therefore all measure identically.  The fold path honors
-// ctx (see measureTimelinesFold); the recompute path is the
-// uncancelable reference implementation.
-func measureTimelines(ds *Dataset, ctx context.Context) error {
-	if ds.Cfg.Recompute {
-		ds.days, _, _ = recomputeDayMetrics(ds.Cfg, ds.full, ds.view)
-		return nil
-	}
-	return measureTimelinesFold(ds, ctx)
-}
-
-// measureTimelinesFold is the incremental path: one cursor walk over
-// the timeline pair maintains an evolving SAN per role plus exact
-// accumulators (degree histograms, via each day's Delta) in O(new
-// structure) per day.  Whole-graph counters (reciprocity, densities,
-// size stats) are O(1) reads off the evolving SANs, degree moments and
-// the attribute power-law exponent come from the folded histograms,
-// and only the paper's sampled estimators (clustering, assortativity,
-// diameters) still run against the day's graph — with the clustering
-// estimator served by a delta-invalidated neighbor cache (DayFolder
-// packages the per-day step; sanserve's streaming handler shares it).
+// measureTimelines fills ds.days, and the halfway and final snapshots
+// a simulation has not already recorded.  It is the incremental path:
+// one cursor walk over the timeline pair maintains an evolving SAN per
+// role plus exact accumulators (degree histograms, via each day's
+// Delta) in O(new structure) per day.  Whole-graph counters
+// (reciprocity, densities, size stats) are O(1) reads off the evolving
+// SANs, degree moments and the attribute power-law exponent come from
+// the folded histograms, and only the paper's sampled estimators
+// (clustering, assortativity, diameters) still run against the day's
+// graph — with the clustering estimator served by a delta-invalidated
+// neighbor cache (DayFolder packages the per-day step; sanserve's
+// streaming handler shares it).  Sampled estimators get a per-day rng,
+// so the measurement of a day does not depend on evaluation order.
 //
 // Cancellation is checked between days.  On ctx error the walk parks
 // its progress in ds.fold — measured days plus compact accumulator
@@ -412,11 +361,10 @@ func measureTimelines(ds *Dataset, ctx context.Context) error {
 // visitor work) and restores the accumulators, so no day is ever
 // measured twice and the resumed walk is bitwise-identical to an
 // uninterrupted one.
-func measureTimelinesFold(ds *Dataset, ctx context.Context) error {
+func measureTimelines(ds *Dataset, ctx context.Context) error {
 	numDays := ds.full.NumDays()
 	if numDays == 0 {
-		ds.days = nil
-		return nil
+		panic("experiments: timeline has no days")
 	}
 	half, last := halfDay(numDays), numDays-1
 	sameView := ds.view == ds.full
@@ -492,54 +440,12 @@ func measureTimelinesFold(ds *Dataset, ctx context.Context) error {
 	return nil
 }
 
-// recomputeDayMetrics is the pre-fold batch path, retained as the
-// reference implementation: it maps measureDay over reconstructed
-// snapshots on the snapstore worker pool.  Each snapshot cache is
-// sized to the worker count — every worker pins its chunk's head day
-// in both stores, so an undersized cache would let chunk heads evict
-// each other and force rebuilds from day 0.  The stores are returned
-// so tests can assert exactly that (zero evictions over a full sweep).
-func recomputeDayMetrics(cfg Config, full, view *snapstore.Timeline) ([]DayMetrics, *snapstore.Store, *snapstore.Store) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fullStore := snapstore.NewStore(full, workers)
-	viewStore := snapstore.NewStore(view, workers)
-	days := make([]DayMetrics, full.NumDays())
-	err := snapstore.MapN(
-		[]*snapstore.Store{fullStore, viewStore},
-		snapstore.AllDays(full), workers,
-		func(i int, gs []*san.SAN) error {
-			days[i] = measureDay(cfg, i+1, gs[0], gs[1])
-			return nil
-		})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: mapping timelines: %v", err))
-	}
-	return days, fullStore, viewStore
-}
-
-// measureDay computes the full per-day metric record from one day's
-// reconstructed full SAN and crawl view, extracting every degree
-// sample from the cold graph.  The fold path computes the same record
-// from its accumulators; stats.LogMomentsHist and stats.FitPowerLawHist
-// guarantee the two agree bitwise.
-func measureDay(cfg Config, day int, full, view *san.SAN) DayMetrics {
-	m := measureDaySampled(cfg, day, full, view, nil)
-	m.MuOut, m.SigmaOut = stats.LogMoments(metrics.OutDegrees(full))
-	m.MuIn, m.SigmaIn = stats.LogMoments(metrics.InDegrees(full))
-	m.MuAttrDeg, m.SigmaAttrDeg = stats.LogMoments(metrics.AttrDegrees(view))
-	m.AlphaAttrSocial = stats.FitPowerLawFixedXmin(metrics.AttrSocialDegrees(view), 1).Alpha
-	return m
-}
-
-// measureDaySampled computes the per-day metrics shared by the fold
-// and recompute paths: O(1) counter reads plus the paper's sampled and
+// measureDaySampled computes the per-day metrics that do not come from
+// the fold accumulators: O(1) counter reads plus the paper's sampled and
 // edge-sweep estimators, which run against the day's graph with a
 // per-day rng.  The rng consumption order (social clustering, then
 // attribute clustering, then the attribute diameter) is part of the
-// determinism contract between the two paths.  nc, when non-nil,
+// determinism contract with the test oracle.  nc, when non-nil,
 // serves the social clustering estimator cached neighbor lists; the
 // estimate is identical either way.
 func measureDaySampled(cfg Config, day int, full, view *san.SAN, nc *metrics.NeighborCache) DayMetrics {

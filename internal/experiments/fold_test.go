@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,7 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/san"
+	"repro/internal/snapstore"
+	"repro/internal/stats"
 )
 
 // sameDayMetrics compares two per-day records field by field, treating
@@ -48,15 +53,57 @@ func sameDayMetrics(a, b DayMetrics) error {
 	return nil
 }
 
-// TestFoldMatchesRecompute is the tentpole's equivalence gate: the
-// incremental fold must produce exactly the per-day metrics the old
-// MapN snapshot-recompute path produces, diameters included.
+// measureDay is the reference measurement the fold is pinned against:
+// the full per-day metric record from one day's cold full SAN and crawl
+// view, extracting every degree sample from the graph instead of the
+// fold's accumulators.  stats.LogMomentsHist and stats.FitPowerLawHist
+// guarantee the two agree bitwise.
+func measureDay(cfg Config, day int, full, view *san.SAN) DayMetrics {
+	m := measureDaySampled(cfg, day, full, view, nil)
+	m.MuOut, m.SigmaOut = stats.LogMoments(metrics.OutDegrees(full))
+	m.MuIn, m.SigmaIn = stats.LogMoments(metrics.InDegrees(full))
+	m.MuAttrDeg, m.SigmaAttrDeg = stats.LogMoments(metrics.AttrDegrees(view))
+	m.AlphaAttrSocial = stats.FitPowerLawFixedXmin(metrics.AttrSocialDegrees(view), 1).Alpha
+	return m
+}
+
+// recomputeDayMetrics is the oracle for the whole fold: it walks both
+// timelines day by day with ReconstructAt and ApplyDay (no cursor, no
+// DayFolder) and measures every day with measureDay.
+func recomputeDayMetrics(t *testing.T, cfg Config, fullTL, viewTL *snapstore.Timeline) []DayMetrics {
+	t.Helper()
+	full, err := fullTL.ReconstructAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := viewTL.ReconstructAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	days := make([]DayMetrics, fullTL.NumDays())
+	for i := range days {
+		if i > 0 {
+			if err := fullTL.ApplyDay(full, i); err != nil {
+				t.Fatal(err)
+			}
+			if err := viewTL.ApplyDay(view, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		days[i] = measureDay(cfg, i+1, full, view)
+	}
+	return days
+}
+
+// TestFoldMatchesRecompute is the fold's equivalence gate: the
+// incremental walk must produce exactly the per-day metrics the
+// sequential snapshot-recompute oracle produces, diameters included.
 func TestFoldMatchesRecompute(t *testing.T) {
 	cfg := goldenConfig() // diameters every 6 days, exercised cheaply
-	ds := GetDataset(cfg) // fold-built (Recompute is false)
+	ds := GetDataset(cfg)
 	foldDays := ds.Days()
 
-	recDays, _, _ := recomputeDayMetrics(cfg, ds.FullTimeline(), ds.ViewTimeline())
+	recDays := recomputeDayMetrics(t, cfg, ds.FullTimeline(), ds.ViewTimeline())
 	if len(recDays) != len(foldDays) {
 		t.Fatalf("recompute measured %d days, fold %d", len(recDays), len(foldDays))
 	}
@@ -160,50 +207,53 @@ func TestDatasetBuildResume(t *testing.T) {
 	})
 }
 
-// TestRecomputeDatasetMatchesFold drives the recompute path through
-// the public Dataset API (Config.Recompute) and checks the halfway and
-// final snapshots agree with the fold-captured ones.
+// TestRecomputeDatasetMatchesFold checks the snapshots the fold
+// captures in passing — the halfway and final crawl views and the final
+// full SAN — byte-for-byte against ReconstructAt on the same timelines,
+// for both the simulation-backed and the timeline-backed dataset.
 func TestRecomputeDatasetMatchesFold(t *testing.T) {
 	cfg := goldenConfig()
-	fold := GetDataset(cfg)
-	rcfg := cfg
-	rcfg.Recompute = true
-	rec := NewTimelineDataset(rcfg, fold.FullTimeline(), fold.ViewTimeline())
-	for i, m := range rec.Days() {
-		if err := sameDayMetrics(m, fold.Days()[i]); err != nil {
-			t.Fatalf("day %d: %v", i+1, err)
+	sim := GetDataset(cfg)
+	full, view := sim.FullTimeline(), sim.ViewTimeline()
+	reconstruct := func(tl *snapstore.Timeline, day int) []byte {
+		g, err := tl.ReconstructAt(day)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return snapstore.EncodeSnapshot(g)
 	}
-	tl := NewTimelineDataset(cfg, fold.FullTimeline(), fold.ViewTimeline())
-	if tl.HalfView().Stats() != rec.HalfView().Stats() {
-		t.Errorf("halfway views diverge: %+v vs %+v", tl.HalfView().Stats(), rec.HalfView().Stats())
-	}
-	if tl.FinalView().Stats() != rec.FinalView().Stats() {
-		t.Errorf("final views diverge: %+v vs %+v", tl.FinalView().Stats(), rec.FinalView().Stats())
-	}
-	if tl.FinalFull().Stats() != rec.FinalFull().Stats() {
-		t.Errorf("final full SANs diverge: %+v vs %+v", tl.FinalFull().Stats(), rec.FinalFull().Stats())
+	wantHalf := reconstruct(view, halfDay(view.NumDays()))
+	wantFinalView := reconstruct(view, view.NumDays()-1)
+	wantFinalFull := reconstruct(full, full.NumDays()-1)
+	for name, ds := range map[string]*Dataset{"sim": sim, "timeline": NewTimelineDataset(cfg, full, view)} {
+		if !bytes.Equal(snapstore.EncodeSnapshot(ds.HalfView()), wantHalf) {
+			t.Errorf("%s: halfway view differs from the reconstructed day", name)
+		}
+		if !bytes.Equal(snapstore.EncodeSnapshot(ds.FinalView()), wantFinalView) {
+			t.Errorf("%s: final view differs from the reconstructed day", name)
+		}
+		if !bytes.Equal(snapstore.EncodeSnapshot(ds.FinalFull()), wantFinalFull) {
+			t.Errorf("%s: final full SAN differs from the reconstructed day", name)
+		}
 	}
 }
 
-// TestRecomputeCachesSizedToWorkers is the regression test for the
-// hardcoded 4-entry snapshot caches: with more workers than cache
-// slots, MapN chunk heads evicted each other and every sweep rebuilt
-// chunks from day 0.  Sized to the worker count, a full sweep must
-// complete with zero evictions in both stores.
-func TestRecomputeCachesSizedToWorkers(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.Workers = 8 // more workers than the old fixed cache size
-	ds := GetDataset(goldenConfig())
-	days, fullStore, viewStore := recomputeDayMetrics(cfg, ds.FullTimeline(), ds.ViewTimeline())
-	if len(days) != ds.FullTimeline().NumDays() {
-		t.Fatalf("measured %d days, want %d", len(days), ds.FullTimeline().NumDays())
-	}
-	if s := fullStore.Stats(); s.Evictions != 0 {
-		t.Errorf("full store evicted %d chunk heads during the sweep (stats %+v)", s.Evictions, s)
-	}
-	if s := viewStore.Stats(); s.Evictions != 0 {
-		t.Errorf("view store evicted %d chunk heads during the sweep (stats %+v)", s.Evictions, s)
+// TestEmptyTimelineDatasetPanics pins the zero-day outcome: the build
+// fails with one named panic instead of leaving nil snapshots for the
+// figure drivers to dereference.
+func TestEmptyTimelineDatasetPanics(t *testing.T) {
+	const want = "experiments: timeline has no days"
+	empty := snapstore.NewBuilder().Timeline()
+	ds := NewTimelineDataset(goldenConfig(), empty, nil)
+	for _, access := range []func(){func() { ds.Days() }, func() { ds.HalfView() }} {
+		func() {
+			defer func() {
+				if v := recover(); v != want {
+					t.Errorf("panic %v, want %q", v, want)
+				}
+			}()
+			access()
+		}()
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // Checkpoint codec: WriteState serializes a Simulator mid-run so that
-// ReadSimulator can reconstruct it and RunFrom/StreamTimelines can
+// ReadSimulator can reconstruct it and StreamTimelines can
 // continue the simulation bit-identically — same rng stream, same
 // event order, byte-identical packed timelines.  That bar is why the
 // codec serializes several things that look derivable:

@@ -76,7 +76,8 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 }
 
 // TestCheckpointResumeRunFrom covers the non-streaming resume path:
-// Run to the horizon vs checkpoint + RunFrom, compared via snapshots.
+// Run to the horizon vs checkpoint + runRange over the remaining days,
+// compared via snapshots.
 func TestCheckpointResumeRunFrom(t *testing.T) {
 	cfg := ckptConfig()
 	want := New(cfg).Run(nil)
@@ -92,7 +93,7 @@ func TestCheckpointResumeRunFrom(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadSimulator: %v", err)
 	}
-	got := resumed.RunFrom(k+1, nil)
+	got := resumed.runRange(k+1, cfg.Days, nil)
 
 	if !bytes.Equal(snapstore.EncodeSnapshot(want), snapstore.EncodeSnapshot(got)) {
 		t.Errorf("resumed Run diverges from uninterrupted Run")

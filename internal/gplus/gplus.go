@@ -373,15 +373,6 @@ func (s *Simulator) Run(perDay func(day int, g *san.SAN)) *san.SAN {
 	return s.runRange(1, s.Cfg.Days, observe(perDay))
 }
 
-// RunFrom continues the simulation from startDay through the configured
-// horizon.  It is the resume entry point: a simulator reconstructed by
-// ReadSimulator from a checkpoint taken at the end of day startDay-1
-// replays days startDay..Days exactly as the uninterrupted run would
-// have (same rng stream, same event order, bitwise-identical network).
-func (s *Simulator) RunFrom(startDay int, perDay func(day int, g *san.SAN)) *san.SAN {
-	return s.runRange(startDay, s.Cfg.Days, observe(perDay))
-}
-
 // observe adapts a pure observer callback to runRange's continue-bool
 // form.
 func observe(perDay func(day int, g *san.SAN)) func(day int, g *san.SAN) bool {

@@ -57,35 +57,6 @@ func (g *SAN) MultiSourceBFSDirected(srcs []NodeID) []int32 {
 	return dist
 }
 
-// BFSUndirected computes shortest-path distances over the undirected
-// view of the social graph (edges usable in both directions).
-func (g *SAN) BFSUndirected(src NodeID) []int32 {
-	dist := make([]int32, g.NumSocial())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		du := dist[u]
-		for _, v := range g.out[u] {
-			if dist[v] < 0 {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-		for _, v := range g.in[u] {
-			if dist[v] < 0 {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
 // WeaklyConnectedComponents labels each social node with a component
 // ID (0-based, ordered by discovery) over the undirected view of the
 // social graph and returns the labels together with component sizes.

@@ -5,8 +5,8 @@
 // Queries never re-simulate.  A mounted timeline is wrapped in an
 // experiments.Dataset built from injected snapshots
 // (experiments.NewTimelineDataset), day reconstruction goes through
-// the snapstore.Store LRU, day-range sweeps run on the snapstore
-// Map/MapN worker pool, and finished figure encodings are kept in a
+// the snapstore.Store LRU, day-range sweeps run on the snapstore.Map
+// worker pool, and finished figure encodings are kept in a
 // bounded result cache keyed on (timeline, figure, day-range, format)
 // with single-flight de-duplication, so concurrent identical requests
 // compute once and every later repeat is a byte-copy.
@@ -25,7 +25,8 @@
 //	    ?scenarios=A,B,C                mounts to compare (default: all)
 //	GET /v1/snapshots/{day}/stats       headline metrics of one reconstructed day
 //	    ?timeline=NAME&source=full|view
-//	GET /v1/snapshots/stats?days=LO-HI  per-day stats sweep on the worker pool
+//	GET /v1/snapshots/stats?days=LO-HI  per-day stats, swept on a GOMAXPROCS worker pool
+//	    ?timeline=NAME&source=full|view
 //
 // A scenario-sweep workspace (see internal/scenario and `sangen
 // sweep`) mounts in one call: MountWorkspace reads the manifest and
@@ -836,7 +837,7 @@ func (s *Server) handleStatsSweep(w http.ResponseWriter, r *http.Request) {
 		days = append(days, d-1)
 	}
 	out := make([]SnapshotStats, len(days))
-	err = snapstore.Map(store, days, s.opts.Cfg.Workers, func(i int, g *san.SAN) error {
+	err = snapstore.Map(store, days, func(i int, g *san.SAN) error {
 		out[i-(lo-1)] = snapshotStats(m.Name, i+1, srcName, g)
 		return nil
 	})

@@ -88,7 +88,7 @@ func BenchmarkTimelineMap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := snapstore.NewStore(tl, 8)
-		err := snapstore.Map(st, snapstore.AllDays(tl), 0, func(day int, g *san.SAN) error {
+		err := snapstore.Map(st, snapstore.AllDays(tl), func(day int, g *san.SAN) error {
 			if g.Reciprocity() < 0 {
 				b.Fail()
 			}

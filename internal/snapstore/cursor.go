@@ -39,18 +39,17 @@ func (t *Timeline) waitDay(ctx context.Context, i int) (bool, error) {
 
 // CursorN is a pull-based walk over several equal-length day sources
 // in lockstep: each Next advances every source's evolving SAN to the
-// same day and returns the graphs plus that day's parsed Deltas.  It
-// is the iterator form of FoldN — same decode sequence, same buffer
-// reuse, bitwise-identical visits — but the caller controls the loop,
-// so a walk can be abandoned between days (Close), fast-forwarded
+// same day and returns the graphs plus that day's parsed Deltas: day
+// 0 is decoded once, every later day applies that day's delta in place
+// — no per-day reconstruction, no clone.  The caller controls the
+// loop, so a walk can be abandoned between days (Close), fast-forwarded
 // (Seek), or canceled promptly through the context passed to Next.
 //
 // The graphs and deltas are reused across days: callers must treat
 // them as read-only and must not retain them past the next cursor
-// call — with the Fold exception that after the final day's Next the
-// cursor never touches the graphs again, so the last day's graphs may
-// be kept instead of cloned.  A CursorN is not safe for concurrent
-// use.
+// call — with one exception: after the final day's Next the cursor
+// never touches the graphs again, so the last day's graphs may be kept
+// instead of cloned.  A CursorN is not safe for concurrent use.
 type CursorN struct {
 	srcs   []DaySource
 	gs     []*san.SAN
@@ -92,9 +91,9 @@ func OpenSourceCursorN(srcs ...DaySource) (*CursorN, error) {
 // Next advances to the next day and returns it: the 0-based day
 // index, every source's SAN as of that day, and the day's parsed
 // growth (day 0 is presented as a pseudo-delta listing the entire
-// base snapshot, exactly as Fold does).  It returns ErrDone after the
-// last day, ctx's error if the context ends first (including while
-// blocked on a still-growing source), and a decode error otherwise.
+// base snapshot).  It returns ErrDone after the last day, ctx's error
+// if the context ends first (including while blocked on a
+// still-growing source), and a decode error otherwise.
 func (c *CursorN) Next(ctx context.Context) (int, []*san.SAN, []*Delta, error) {
 	if c.closed {
 		return 0, nil, nil, fmt.Errorf("snapstore: Next on a closed cursor")
@@ -227,7 +226,7 @@ func (c *CursorN) ensureDeltas() {
 	}
 }
 
-// Cursor is the single-timeline cursor: Fold's pull-based form.
+// Cursor is the single-timeline form of CursorN.
 type Cursor struct {
 	n CursorN
 }

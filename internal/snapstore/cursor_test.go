@@ -10,89 +10,6 @@ import (
 	"repro/internal/snapstore"
 )
 
-// TestCursorMatchesFold pins the bitwise contract of the refactor:
-// walking a timeline pair through CursorN yields, day by day, exactly
-// the graphs and deltas the FoldN visitor receives — same day order,
-// same delta contents, same graph structure.
-func TestCursorMatchesFold(t *testing.T) {
-	cfg := testCfg()
-	cfg.Days = 30
-	full, view, err := gplus.New(cfg).RunTimelines(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tls := []*snapstore.Timeline{full, view}
-
-	// Record the fold side: per-day delta copies and per-day stats
-	// (deep graph comparison happens against reconstruction below).
-	type dayRec struct {
-		stats  []san.Stats
-		deltas []snapstore.Delta
-	}
-	var want []dayRec
-	err = snapstore.FoldN(tls, func(day int, gs []*san.SAN, ds []*snapstore.Delta) error {
-		rec := dayRec{}
-		for i := range gs {
-			rec.stats = append(rec.stats, gs[i].Stats())
-			d := snapstore.Delta{
-				NewSocial:   ds[i].NewSocial,
-				NewAttrs:    ds[i].NewAttrs,
-				SocialEdges: append([]snapstore.SocialEdge(nil), ds[i].SocialEdges...),
-				AttrLinks:   append([]snapstore.AttrLink(nil), ds[i].AttrLinks...),
-			}
-			rec.deltas = append(rec.deltas, d)
-		}
-		want = append(want, rec)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cur, err := snapstore.OpenCursorN(tls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	ctx := context.Background()
-	for day := 0; ; day++ {
-		gotDay, gs, ds, err := cur.Next(ctx)
-		if err == snapstore.ErrDone {
-			if day != len(want) {
-				t.Fatalf("cursor ended after %d days, fold visited %d", day, len(want))
-			}
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotDay != day {
-			t.Fatalf("cursor returned day %d, want %d", gotDay, day)
-		}
-		for i := range gs {
-			if gs[i].Stats() != want[day].stats[i] {
-				t.Fatalf("day %d source %d: cursor graph %+v, fold graph %+v",
-					day, i, gs[i].Stats(), want[day].stats[i])
-			}
-			w := want[day].deltas[i]
-			if ds[i].NewSocial != w.NewSocial || ds[i].NewAttrs != w.NewAttrs ||
-				len(ds[i].SocialEdges) != len(w.SocialEdges) || len(ds[i].AttrLinks) != len(w.AttrLinks) {
-				t.Fatalf("day %d source %d: cursor delta shape differs from fold", day, i)
-			}
-			for j, e := range ds[i].SocialEdges {
-				if e != w.SocialEdges[j] {
-					t.Fatalf("day %d source %d: social edge %d: cursor %v, fold %v", day, i, j, e, w.SocialEdges[j])
-				}
-			}
-			for j, l := range ds[i].AttrLinks {
-				if l != w.AttrLinks[j] {
-					t.Fatalf("day %d source %d: attr link %d: cursor %v, fold %v", day, i, j, l, w.AttrLinks[j])
-				}
-			}
-		}
-	}
-}
-
 // TestCursorSeekMatchesNext checks that Seek(k) leaves the cursor in
 // exactly the state sequential Next calls reach: the day returned
 // after the seek carries the same graph and the same delta.
@@ -243,7 +160,7 @@ func TestLiveTailCursor(t *testing.T) {
 
 	// Reference walk over the packed timeline.
 	var wantStats []san.Stats
-	if err := tl.Fold(func(day int, g *san.SAN, d *snapstore.Delta) error {
+	if err := walkOne(t, tl, func(day int, g *san.SAN, d *snapstore.Delta) error {
 		wantStats = append(wantStats, g.Stats())
 		return nil
 	}); err != nil {

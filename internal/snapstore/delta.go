@@ -138,8 +138,8 @@ func ApplyDelta(g *san.SAN, rec []byte) error {
 
 // applyDeltaInto is ApplyDelta with optional capture: when d is
 // non-nil, the decoded growth (node counts, every new link) is
-// recorded into it in application order, which is what the Fold walk
-// hands to incremental visitors.
+// recorded into it in application order, which is what a cursor walk
+// hands to incremental consumers.
 func applyDeltaInto(g *san.SAN, rec []byte, d *Delta) error {
 	r := &reader{buf: rec}
 	if tag := r.byte(); r.err == nil && tag != tagDelta {
@@ -189,4 +189,48 @@ func applyDeltaInto(g *san.SAN, rec []byte, d *Delta) error {
 		return err
 	}
 	return r.finish()
+}
+
+// A Delta is the parsed form of one day of append-only growth: what a
+// day record added to the SAN, in application order.  Day 0 of a
+// cursor walk is presented the same way — its "delta" lists the entire
+// base snapshot — so consumers initialize and advance incremental
+// state through a single code path.
+type Delta struct {
+	NewSocial   int          // social nodes added this day
+	NewAttrs    int          // attribute nodes added this day
+	SocialEdges []SocialEdge // new directed social links
+	AttrLinks   []AttrLink   // new attribute links
+}
+
+// SocialEdge is one directed social link u -> v.
+type SocialEdge struct {
+	U, V san.NodeID
+}
+
+// AttrLink is one attribute link between social node U and attribute A.
+type AttrLink struct {
+	U san.NodeID
+	A san.AttrID
+}
+
+// reset clears the delta for reuse, keeping the backing arrays.
+func (d *Delta) reset() {
+	d.NewSocial, d.NewAttrs = 0, 0
+	d.SocialEdges = d.SocialEdges[:0]
+	d.AttrLinks = d.AttrLinks[:0]
+}
+
+// fromSnapshot fills the delta with the whole of g, as if the base
+// snapshot were one day of growth over an empty SAN.
+func (d *Delta) fromSnapshot(g *san.SAN) {
+	d.NewSocial, d.NewAttrs = g.NumSocial(), g.NumAttrs()
+	g.ForEachSocialEdge(func(u, v san.NodeID) {
+		d.SocialEdges = append(d.SocialEdges, SocialEdge{U: u, V: v})
+	})
+	for u := 0; u < g.NumSocial(); u++ {
+		for _, a := range g.Attrs(san.NodeID(u)) {
+			d.AttrLinks = append(d.AttrLinks, AttrLink{U: san.NodeID(u), A: a})
+		}
+	}
 }

@@ -3,7 +3,7 @@
 // days in this reproduction) packed into one compact, structure-sharing
 // container.
 //
-// The layer has four parts:
+// The layer has five parts:
 //
 //   - a binary snapshot format (EncodeSnapshot/DecodeSnapshot):
 //     CSR-packed social out-adjacency, attribute links and the
@@ -17,13 +17,16 @@
 //   - a concurrent Store with a bounded snapshot cache and
 //     single-flight reconstruction, so concurrent readers of the same
 //     day do the work once and nearby days reuse cached ancestors;
-//   - a parallel engine (Map/MapN) that evaluates metric closures over
+//   - a parallel engine (Map) that evaluates metric closures over
 //     snapshot ranges on a worker pool, walking each contiguous chunk
 //     of days incrementally instead of reconstructing every day from
-//     scratch.
+//     scratch;
+//   - a pull-based Cursor/CursorN that walks every day in order over
+//     one evolving SAN per timeline, handing incremental consumers each
+//     day's parsed Delta.
 //
 // internal/gplus emits timelines directly from the reference
-// simulation (Simulator.RunTimelines), internal/experiments computes
-// its evolution figures by mapping over a packed timeline, and
-// cmd/sanstore packs, inspects and extracts timeline files.
+// simulation (Simulator.StreamTimelines), internal/experiments computes
+// its evolution figures by walking a packed timeline pair with a
+// cursor, and cmd/sanstore packs, inspects and extracts timeline files.
 package snapstore

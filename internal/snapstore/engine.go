@@ -1,7 +1,6 @@
 package snapstore
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sort"
@@ -10,36 +9,26 @@ import (
 	"repro/internal/san"
 )
 
-// MapN evaluates fn over the requested days (0-based, deduplicated,
-// any order) with snapshots from every store reconstructed in
-// lockstep, on a worker pool.  The sorted days are split into
-// contiguous chunks, one per worker: each worker fetches its chunk's
-// first day through the store cache, clones it, and then walks forward
-// by applying deltas incrementally — so mapping D consecutive days
-// costs one reconstruction plus D-1 delta replays per worker, not D
-// reconstructions.
+// Map evaluates fn over the requested days (0-based, deduplicated, any
+// order) of the store's timeline on a GOMAXPROCS worker pool.  The
+// sorted days are split into contiguous chunks, one per worker: each
+// worker fetches its chunk's first day through the store cache, clones
+// it, and then walks forward by applying deltas incrementally — so
+// mapping D consecutive days costs one reconstruction plus D-1 delta
+// replays per worker, not D reconstructions.
 //
 // fn runs concurrently on different days (never concurrently for one
-// worker's chunk); the snapshots passed to it are reused by the walk
-// and must not be mutated or retained past the call.  workers <= 0
-// means GOMAXPROCS.  The first error (from reconstruction or fn)
-// cancels remaining work and is returned.
-func MapN(stores []*Store, days []int, workers int, fn func(day int, gs []*san.SAN) error) error {
-	if len(stores) == 0 {
-		return fmt.Errorf("snapstore: MapN needs at least one store")
-	}
+// worker's chunk); the snapshot passed to it is reused by the walk and
+// must not be mutated or retained past the call.  The first error
+// (from reconstruction or fn) cancels remaining work and is returned.
+func Map(s *Store, days []int, fn func(day int, g *san.SAN) error) error {
 	sorted := slices.Clone(days)
 	sort.Ints(sorted)
 	sorted = slices.Compact(sorted)
 	if len(sorted) == 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sorted) {
-		workers = len(sorted)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(sorted))
 
 	var (
 		wg       sync.WaitGroup
@@ -73,30 +62,25 @@ func MapN(stores []*Store, days []int, workers int, fn func(day int, gs []*san.S
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			gs := make([]*san.SAN, len(stores))
 			cur := chunk[0]
-			for i, st := range stores {
-				g, err := st.Snapshot(cur)
-				if err != nil {
-					setErr(err)
-					return
-				}
-				gs[i] = g.Clone()
+			g, err := s.Snapshot(cur)
+			if err != nil {
+				setErr(err)
+				return
 			}
+			g = g.Clone()
 			for _, day := range chunk {
 				if aborted() {
 					return
 				}
 				for d := cur + 1; d <= day; d++ {
-					for i, st := range stores {
-						if err := st.Timeline().ApplyDay(gs[i], d); err != nil {
-							setErr(err)
-							return
-						}
+					if err := s.Timeline().ApplyDay(g, d); err != nil {
+						setErr(err)
+						return
 					}
 				}
 				cur = day
-				if err := fn(day, gs); err != nil {
+				if err := fn(day, g); err != nil {
 					setErr(err)
 					return
 				}
@@ -105,21 +89,4 @@ func MapN(stores []*Store, days []int, workers int, fn func(day int, gs []*san.S
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// Map is MapN over a single store.
-func Map(s *Store, days []int, workers int, fn func(day int, g *san.SAN) error) error {
-	return MapN([]*Store{s}, days, workers, func(day int, gs []*san.SAN) error {
-		return fn(day, gs[0])
-	})
-}
-
-// AllDays returns the full day range [0, tl.NumDays()) for mapping an
-// entire timeline.
-func AllDays(tl *Timeline) []int {
-	days := make([]int, tl.NumDays())
-	for i := range days {
-		days[i] = i
-	}
-	return days
 }

@@ -1,6 +1,7 @@
 package snapstore_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -9,8 +10,39 @@ import (
 	"repro/internal/snapstore"
 )
 
-// TestFoldMatchesReconstruction walks a full simulated timeline with
-// Fold and checks, for every day, that the evolving graph equals the
+// walk drains cur, handing every day to fn, and closes it; the first
+// error (decode or fn) stops the walk.
+func walk(cur *snapstore.CursorN, fn func(day int, gs []*san.SAN, ds []*snapstore.Delta) error) error {
+	defer cur.Close()
+	for {
+		day, gs, ds, err := cur.Next(context.Background())
+		if err == snapstore.ErrDone {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(day, gs, ds); err != nil {
+			return err
+		}
+	}
+}
+
+// walkOne opens a cursor over tl and walks it with a single-timeline
+// visitor.
+func walkOne(t *testing.T, tl *snapstore.Timeline, fn func(day int, g *san.SAN, d *snapstore.Delta) error) error {
+	t.Helper()
+	cur, err := snapstore.OpenCursorN([]*snapstore.Timeline{tl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return walk(cur, func(day int, gs []*san.SAN, ds []*snapstore.Delta) error {
+		return fn(day, gs[0], ds[0])
+	})
+}
+
+// TestFoldMatchesReconstruction walks a full simulated timeline with a
+// cursor and checks, for every day, that the evolving graph equals the
 // independently reconstructed snapshot and that the delta accounts
 // exactly for the day's growth.
 func TestFoldMatchesReconstruction(t *testing.T) {
@@ -24,9 +56,9 @@ func TestFoldMatchesReconstruction(t *testing.T) {
 
 	var prev san.Stats
 	visited := 0
-	err = tl.Fold(func(day int, g *san.SAN, d *snapstore.Delta) error {
+	err = walkOne(t, tl, func(day int, g *san.SAN, d *snapstore.Delta) error {
 		if day != visited {
-			t.Fatalf("fold visited day %d, want %d", day, visited)
+			t.Fatalf("cursor visited day %d, want %d", day, visited)
 		}
 		visited++
 		st := g.Stats()
@@ -67,12 +99,12 @@ func TestFoldMatchesReconstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if visited != tl.NumDays() {
-		t.Fatalf("fold visited %d days, want %d", visited, tl.NumDays())
+		t.Fatalf("cursor visited %d days, want %d", visited, tl.NumDays())
 	}
 }
 
-// TestFoldNLockstep folds the full and view timelines together and
-// checks the two graphs advance in lockstep.
+// TestFoldNLockstep walks the full and view timelines together through
+// one CursorN and checks the two graphs advance in lockstep.
 func TestFoldNLockstep(t *testing.T) {
 	cfg := testCfg()
 	cfg.Days = 20
@@ -81,8 +113,12 @@ func TestFoldNLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cur, err := snapstore.OpenCursorN([]*snapstore.Timeline{full, view})
+	if err != nil {
+		t.Fatal(err)
+	}
 	days := 0
-	err = snapstore.FoldN([]*snapstore.Timeline{full, view}, func(day int, gs []*san.SAN, ds []*snapstore.Delta) error {
+	err = walk(cur, func(day int, gs []*san.SAN, ds []*snapstore.Delta) error {
 		days++
 		f, v := gs[0], gs[1]
 		if f.NumSocial() != v.NumSocial() || f.NumSocialEdges() != v.NumSocialEdges() {
@@ -101,7 +137,7 @@ func TestFoldNLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if days != full.NumDays() {
-		t.Fatalf("fold visited %d days, want %d", days, full.NumDays())
+		t.Fatalf("cursor visited %d days, want %d", days, full.NumDays())
 	}
 }
 
@@ -120,16 +156,16 @@ func TestFoldErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := snapstore.FoldN(nil, nil); err == nil {
-		t.Error("FoldN with no timelines should error")
+	if _, err := snapstore.OpenCursorN(nil); err == nil {
+		t.Error("OpenCursorN with no timelines should error")
 	}
-	if err := snapstore.FoldN([]*snapstore.Timeline{a, b}, nil); err == nil {
-		t.Error("FoldN with mismatched lengths should error")
+	if _, err := snapstore.OpenCursorN([]*snapstore.Timeline{a, b}); err == nil {
+		t.Error("OpenCursorN with mismatched lengths should error")
 	}
 
 	sentinel := errors.New("stop here")
 	calls := 0
-	err = a.Fold(func(day int, g *san.SAN, d *snapstore.Delta) error {
+	err = walkOne(t, a, func(day int, g *san.SAN, d *snapstore.Delta) error {
 		calls++
 		if day == 3 {
 			return sentinel

@@ -14,7 +14,7 @@ import (
 // single-flight test cannot: random days under heavy eviction pressure
 // (a 2-entry cache forces constant evictLocked churn and exercises the
 // clone-and-replay base reuse against entries that may be concurrently
-// evicted), interleaved with Stats/CachedDays readers and MapN sweeps
+// evicted), interleaved with Stats/CachedDays readers and Map sweeps
 // over the same store.  Its real assertion is `go test -race` staying
 // silent; the value checks pin correctness while it runs.
 func TestStoreConcurrentMixedDays(t *testing.T) {
@@ -75,7 +75,7 @@ func TestStoreConcurrentMixedDays(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := snapstore.Map(st, snapstore.AllDays(tl), 4, func(day int, g *san.SAN) error {
+			err := snapstore.Map(st, snapstore.AllDays(tl), func(day int, g *san.SAN) error {
 				if g.NumSocial() != wantNodes[day] {
 					t.Errorf("sweep day %d: %d nodes, want %d", day, g.NumSocial(), wantNodes[day])
 				}

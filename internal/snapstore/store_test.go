@@ -2,6 +2,7 @@ package snapstore_test
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,37 +142,27 @@ func TestStoreCacheAndSingleFlight(t *testing.T) {
 }
 
 // TestMapNCoversAllDaysInLockstep checks the engine visits every
-// requested day exactly once with consistent snapshots across stores.
+// requested day exactly once with the reconstructed snapshot of that
+// day, deduplicates and sorts any input order, and returns the first
+// error.
 func TestMapNCoversAllDaysInLockstep(t *testing.T) {
 	cfg := testCfg()
 	cfg.Days = 25
 	sim := gplus.New(cfg)
-	full, view, err := sim.RunTimelines(nil)
+	full, _, err := sim.RunTimelines(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var visited [25]int32
-	err = snapstore.MapN(
-		[]*snapstore.Store{snapstore.NewStore(full, 4), snapstore.NewStore(view, 4)},
-		snapstore.AllDays(full), 4,
-		func(day int, gs []*san.SAN) error {
-			atomic.AddInt32(&visited[day], 1)
-			f, v := gs[0], gs[1]
-			// The crawl view shares the social graph with the full SAN
-			// and can only hide attribute links.
-			if f.NumSocial() != v.NumSocial() || f.NumSocialEdges() != v.NumSocialEdges() {
-				t.Errorf("day %d: view social graph diverges from full", day)
-			}
-			if v.NumAttrEdges() > f.NumAttrEdges() {
-				t.Errorf("day %d: view has more attribute links than the full SAN", day)
-			}
-			want, err := full.ReconstructAt(day)
-			if err != nil {
-				return err
-			}
-			return snapstore.SameSAN(want, f)
-		})
+	err = snapstore.Map(snapstore.NewStore(full, 4), snapstore.AllDays(full), func(day int, g *san.SAN) error {
+		atomic.AddInt32(&visited[day], 1)
+		want, err := full.ReconstructAt(day)
+		if err != nil {
+			return err
+		}
+		return snapstore.SameSAN(want, g)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +174,7 @@ func TestMapNCoversAllDaysInLockstep(t *testing.T) {
 
 	// Sparse, unordered, duplicated day lists work too.
 	count := int32(0)
-	err = snapstore.Map(snapstore.NewStore(full, 2), []int{20, 3, 3, 11}, 2, func(day int, g *san.SAN) error {
+	err = snapstore.Map(snapstore.NewStore(full, 2), []int{20, 3, 3, 11}, func(day int, g *san.SAN) error {
 		atomic.AddInt32(&count, 1)
 		return nil
 	})
@@ -192,5 +183,21 @@ func TestMapNCoversAllDaysInLockstep(t *testing.T) {
 	}
 	if count != 3 {
 		t.Errorf("sparse map visited %d days, want 3 (deduplicated)", count)
+	}
+
+	// The first error stops the sweep and is returned: from the
+	// visitor, and from reconstructing a day past the end.
+	sentinel := errors.New("stop here")
+	err = snapstore.Map(snapstore.NewStore(full, 2), snapstore.AllDays(full), func(day int, g *san.SAN) error {
+		if day == 7 {
+			return sentinel
+		}
+		return nil
+	})
+	if !errors.Is(err, sentinel) {
+		t.Errorf("visitor error not returned: %v", err)
+	}
+	if err := snapstore.Map(snapstore.NewStore(full, 2), []int{30}, func(int, *san.SAN) error { return nil }); err == nil {
+		t.Error("mapping a day past the end should error")
 	}
 }

@@ -182,16 +182,6 @@ func LogBinAverage(xs, ys []float64, factor float64) []LogBinPoint {
 	return out
 }
 
-// IntsToFloats converts an integer sample to float64 for the generic
-// descriptive helpers.
-func IntsToFloats(data []int) []float64 {
-	out := make([]float64, len(data))
-	for i, k := range data {
-		out[i] = float64(k)
-	}
-	return out
-}
-
 // LogMoments returns the mean and standard deviation of ln(k) over
 // data values >= 1: the continuous-MLE lognormal parameters tracked in
 // Figures 6 and 11a.
