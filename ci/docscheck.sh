@@ -2,14 +2,17 @@
 # docscheck: fail if README.md or DESIGN.md reference a package,
 # binary, CLI flag, test or benchmark that no longer exists in the tree.
 #
-# Four checks:
+# Five checks:
 #   1. every internal/<pkg>, cmd/<bin>, examples/<name> path mentioned
 #      in the docs must be a directory;
 #   2. every `-flag` token on a doc line that names a cmd/ binary must
 #      be defined (as a quoted flag name) in that binary's source;
 #   3. every backtick-quoted `-flag` must be defined by some cmd/ binary;
 #   4. every Test*, Benchmark* or Fuzz* name must be defined by some
-#      _test.go file.
+#      _test.go file;
+#   5. every backtick-quoted `pkg.Ident` whose pkg is a directory under
+#      internal/ must name a func, method, type, var or const declared
+#      in that package's non-test files.
 #
 # Run from the repository root: sh ci/docscheck.sh
 set -u
@@ -61,6 +64,36 @@ done
 for name in $(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' $docs | sort -u); do
   if ! grep -rqE "^func $name\(" --include='*_test.go' --exclude-dir=.bench_build .; then
     echo "docscheck: docs mention $name but no _test.go file defines it"
+    fail=1
+  fi
+done
+
+# --- 5: package-qualified identifiers -----------------------------
+# decls lists the top-level names a package's non-test files declare:
+# funcs and methods (by name), and types, vars and consts, both single
+# and inside grouped ( ... ) blocks.
+decls() {
+  for f in "internal/$1"/*.go; do
+    case $f in *_test.go) continue ;; esac
+    cat "$f"
+  done | awk '
+    /^func / { s = $0; sub(/^func (\([^)]*\) )?/, "", s); sub(/[^A-Za-z0-9_].*/, "", s); print s; next }
+    /^(type|var|const) \(/ { grouped = 1; next }
+    grouped && /^\)/ { grouped = 0; next }
+    grouped && /^\t[A-Za-z_]/ { s = $0; sub(/^\t/, "", s); sub(/[^A-Za-z0-9_].*/, "", s); print s; next }
+    /^(type|var|const) [A-Za-z_]/ { s = $0; sub(/^(type|var|const) /, "", s); sub(/[^A-Za-z0-9_].*/, "", s); print s }
+  ' | sort -u
+}
+# A pkg.Ident token inside a backtick span; a preceding / or . (a
+# file path, a deeper selector) disqualifies the match.
+for ref in $(grep -ohE '`[^`]+`' $docs |
+  grep -oE '(^|[^A-Za-z0-9_./])[a-z][a-z0-9]*\.[A-Za-z_][A-Za-z0-9_]*' |
+  sed -E 's/^[^a-z]//' | sort -u); do
+  pkg=${ref%%.*}
+  ident=${ref#*.}
+  [ -d "internal/$pkg" ] || continue
+  if ! decls "$pkg" | grep -qx "$ident"; then
+    echo "docscheck: docs mention $ref but internal/$pkg declares no $ident"
     fail=1
   fi
 done

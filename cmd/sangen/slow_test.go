@@ -16,7 +16,7 @@ import (
 
 // TestStreamCrawlScaleBoundedRSS is the crawl-scale acceptance run for
 // the streaming pack path: a `sangen -stream-out` run at a scale the
-// in-memory Builder cannot hold must complete with peak RSS bounded by
+// in-memory Live sink cannot hold must complete with peak RSS bounded by
 // the live network (not the timeline), and an interrupted twin of the
 // same run, resumed from its checkpoint, must finalize to a
 // bitwise-identical file.

@@ -79,7 +79,7 @@ func TestPackLsStatExtractRoundTrip(t *testing.T) {
 	// parameters (the CLI adds no hidden state).
 	cfg := gplus.DefaultConfig()
 	cfg.DailyBase, cfg.Days, cfg.Seed = 5, 8, 3
-	direct, err := gplus.PackTimeline(cfg, false)
+	direct, _, err := gplus.New(cfg).RunTimelines(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

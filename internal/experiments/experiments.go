@@ -4,12 +4,13 @@
 // series plus notes); the cmd/sanbench binary and the repository-root
 // benchmarks print them.
 //
-// One instrumented simulation run (Dataset) is shared by all of the
-// measurement figures; model-comparison figures generate their own
-// SANs from the core and zhel generators.  The run is packed into
-// snapstore timelines and every per-day metric is computed by one
-// incremental walk over them, so the evolution figures read from the
-// storage layer rather than re-simulating.
+// One measured dataset (Dataset) is shared by all of the measurement
+// figures; model-comparison figures generate their own SANs from the
+// core and zhel generators.  A dataset is a pair of packed snapstore
+// timelines — simulated in memory by GetDataset, or mounted from disk
+// by NewTimelineDataset — and every per-day metric and figure snapshot
+// comes from one incremental walk over them, so sanbench and a server
+// mounting the same timelines print the same figures.
 package experiments
 
 import (
@@ -102,14 +103,17 @@ type DayMetrics struct {
 // Dataset is the "crawled dataset" of this reproduction: per-day
 // metrics plus the halfway and final snapshots every figure driver
 // reads.  A Dataset is a lazy handle — construction is free, and the
-// backing work runs once on first access — with two backends:
+// backing work runs once on first access.  There is one build: fold
+// a packed timeline pair forward (measureTimelines), capturing the
+// per-day records and the figure snapshots on the way.  The two
+// constructors differ only in where the timelines come from:
 //
-//   - GetDataset runs the instrumented gplus simulation once,
-//     emitting packed snapshot timelines, and measures every day by
-//     folding them forward (the batch path).
-//   - NewTimelineDataset skips simulation entirely and measures an
-//     injected pair of packed timelines (the serving path: sanserve
-//     mounts .tl files and answers figures without re-simulating).
+//   - GetDataset packs them in memory from one instrumented gplus
+//     simulation, which also records the evolution trace (the batch
+//     path: sanbench and the golden figures).
+//   - NewTimelineDataset takes an injected pair (the serving path:
+//     sanserve mounts .tl files and answers figures without
+//     re-simulating).
 //
 // Drivers receive a *Dataset and pull only what they need, so model
 // figures (16-18) never force a dataset build at all.
@@ -118,8 +122,10 @@ type Dataset struct {
 
 	mu       sync.Mutex
 	built    bool
-	build    func(*Dataset, context.Context) error
 	buildErr any // panic value of a failed build, re-raised on every access
+	// pack, set by GetDataset only, produces the timeline pair and the
+	// trace; the first Build calls it.
+	pack func(Config) (full, view *snapstore.Timeline, tr *trace.Trace)
 
 	days      []DayMetrics
 	full      *snapstore.Timeline // packed daily full SANs (day d at index d-1)
@@ -127,18 +133,11 @@ type Dataset struct {
 	halfView  *san.SAN            // crawl view at day 49 (the halfway snapshot)
 	finalView *san.SAN            // crawl view at the last day
 	finalFull *san.SAN            // full SAN at the last day
-	sim       *gplus.Simulator    // simulation-backed datasets only
-	tr        *trace.Trace        // simulation-backed datasets only
+	tr        *trace.Trace        // GetDataset only
 
-	// Resume state of an interrupted build.  Simulation-backed builds
-	// resume through the simulator itself (Day() is the checkpoint);
-	// canceled measurement folds keep the per-day records measured so
-	// far plus a compact accumulator snapshot (fold), and the retained
-	// builders (simFull/simView) let a resumed simulation keep packing
-	// where it stopped.
-	simFull *snapstore.Builder
-	simView *snapstore.Builder
-	fold    *foldState
+	// fold is the resume state of a canceled build: the per-day
+	// records measured so far plus a compact accumulator snapshot.
+	fold *foldState
 }
 
 // foldState is the suspended measurement walk of a canceled Build: the
@@ -153,11 +152,14 @@ type foldState struct {
 }
 
 // Build runs the backing work, honoring ctx: a canceled context makes
-// the build stop at the next day boundary and return the context's
+// the fold stop at the next day boundary and return the context's
 // error, leaving the dataset resumable — a later Build (any context)
-// picks up where the canceled one stopped without re-simulating or
-// re-measuring a single day.  Build returns nil once the dataset is
-// complete; accessors then read their fields without further work.
+// picks up where the canceled one stopped without re-measuring a
+// single day.  Obtaining the timelines (GetDataset's in-memory
+// simulation) does not poll ctx: it runs to completion once, inside
+// the first Build whose context is not already canceled.  Build
+// returns nil once the dataset is complete; accessors then read their
+// fields without further work.
 //
 // Builds are serialized: concurrent callers block until the running
 // build returns (finished or canceled), then the next caller resumes
@@ -182,7 +184,10 @@ func (d *Dataset) Build(ctx context.Context) error {
 			panic(v)
 		}
 	}()
-	if err := d.build(d, ctx); err != nil {
+	if d.full == nil {
+		d.full, d.view, d.tr = d.pack(d.Cfg)
+	}
+	if err := measureTimelines(d, ctx); err != nil {
 		return err
 	}
 	d.built = true
@@ -223,10 +228,6 @@ func (d *Dataset) FinalView() *san.SAN { d.force(); return d.finalView }
 // last day.
 func (d *Dataset) FinalFull() *san.SAN { d.force(); return d.finalFull }
 
-// Sim returns the backing simulator, or nil for timeline-backed
-// datasets.
-func (d *Dataset) Sim() *gplus.Simulator { d.force(); return d.sim }
-
 // Trace returns the recorded evolution trace, or nil for
 // timeline-backed datasets (the packed format stores structure, not
 // event provenance; trace-based drivers fall back to a dedicated
@@ -238,17 +239,41 @@ var (
 	dsCache = map[Config]*Dataset{}
 )
 
-// GetDataset returns the (cached, lazily built) instrumented
-// simulation run for cfg.
+// GetDataset returns the (cached, lazily built) dataset of the
+// instrumented simulation run for cfg.
 func GetDataset(cfg Config) *Dataset {
 	dsMu.Lock()
 	defer dsMu.Unlock()
 	if d, ok := dsCache[cfg]; ok {
 		return d
 	}
-	d := &Dataset{Cfg: cfg, build: buildSimDataset}
+	d := &Dataset{Cfg: cfg, pack: simulateTimelines}
 	dsCache[cfg] = d
 	return d
+}
+
+// simulateTimelines runs the instrumented gplus simulation for cfg
+// once and packs it in memory: the daily full-SAN and crawl-view
+// timelines (this reproduction's equivalent of the 79 daily crawl
+// files) plus the observed evolution trace Fig. 15 scores.
+func simulateTimelines(cfg Config) (full, view *snapstore.Timeline, tr *trace.Trace) {
+	gcfg := gplus.DefaultConfig()
+	gcfg.DailyBase = cfg.Scale
+	gcfg.Seed = cfg.Seed
+	gcfg.Record = &trace.Trace{}
+	gcfg.RecordObserved = true
+	sim := gplus.New(gcfg)
+	if p := cfg.Progress; p != nil {
+		sim.Progress = p
+		p.AddTotalDays(gcfg.Days)
+	}
+	full, view, err := sim.RunTimelines(nil)
+	if err != nil {
+		// The simulator's evolution is append-only by construction, so
+		// a packing failure is a programming error, not an input error.
+		panic(fmt.Sprintf("experiments: packing timelines: %v", err))
+	}
+	return full, view, gcfg.Record
 }
 
 // NeedsDataset reports whether figure id forces a dataset build.
@@ -277,57 +302,7 @@ func NewTimelineDataset(cfg Config, full, view *snapstore.Timeline) *Dataset {
 	if view == nil {
 		view = full
 	}
-	return &Dataset{Cfg: cfg, build: func(d *Dataset, ctx context.Context) error {
-		d.full, d.view = full, view
-		return measureTimelines(d, ctx)
-	}}
-}
-
-func buildSimDataset(ds *Dataset, ctx context.Context) error {
-	cfg := ds.Cfg
-	if ds.sim == nil {
-		gcfg := gplus.DefaultConfig()
-		gcfg.DailyBase = cfg.Scale
-		gcfg.Seed = cfg.Seed
-		gcfg.Record = &trace.Trace{}
-		gcfg.RecordObserved = true
-		sim := gplus.New(gcfg)
-		if cfg.Progress != nil {
-			sim.Progress = cfg.Progress
-			cfg.Progress.AddTotalDays(gcfg.Days)
-		}
-		ds.sim, ds.tr = sim, gcfg.Record
-		ds.simFull, ds.simView = snapstore.NewBuilder(), snapstore.NewBuilder()
-	}
-
-	// Pass 1: simulate once, emitting the packed snapshot timelines
-	// (this reproduction's equivalent of the 79 daily crawl files).
-	// A canceled run stops at a day boundary with the simulator in
-	// checkpoint-clean state; the retained builders hold exactly the
-	// days simulated so far, so the resume continues from Day()+1.
-	if ds.full == nil {
-		sim := ds.sim
-		err := sim.StreamTimelines(sim.Day()+1, 0, ds.simFull, ds.simView, func(day int, _, view *san.SAN) error {
-			if day == 49 {
-				ds.halfView = view
-			}
-			if day == sim.Cfg.Days {
-				ds.finalView = view
-			}
-			return ctx.Err()
-		})
-		if err != nil {
-			if isCtxErr(err) {
-				return err
-			}
-			// The simulator's evolution is append-only by construction, so
-			// a packing failure is a programming error, not an input error.
-			panic(fmt.Sprintf("experiments: packing timelines: %v", err))
-		}
-		ds.full, ds.view = ds.simFull.Timeline(), ds.simView.Timeline()
-		ds.finalFull = sim.G
-	}
-	return measureTimelines(ds, ctx)
+	return &Dataset{Cfg: cfg, full: full, view: view}
 }
 
 // halfDay returns the 0-based index of the halfway crawl: 1-based day
@@ -340,8 +315,8 @@ func halfDay(numDays int) int {
 	return half
 }
 
-// measureTimelines fills ds.days, and the halfway and final snapshots
-// a simulation has not already recorded.  It is the incremental path:
+// measureTimelines, the only dataset build, fills ds.days and the
+// halfway and final snapshots.  It is the incremental path:
 // one cursor walk over the timeline pair maintains an evolving SAN per
 // role plus exact accumulators (degree histograms, via each day's
 // Delta) in O(new structure) per day.  Whole-graph counters
@@ -420,20 +395,14 @@ func measureTimelines(ds *Dataset, ctx context.Context) error {
 			p.AddDeltas(len(deltas))
 		}
 
-		// Capture the figure snapshots in passing (simulation-backed
-		// datasets have already recorded their own).  The final-day
+		// Capture the figure snapshots in passing.  The final-day
 		// graphs are retained un-cloned: Close never mutates the graphs
 		// it releases.
-		if day == half && ds.halfView == nil {
+		if day == half {
 			ds.halfView = view.Clone()
 		}
 		if day == last {
-			if ds.finalView == nil {
-				ds.finalView = view
-			}
-			if ds.finalFull == nil {
-				ds.finalFull = full
-			}
+			ds.finalView, ds.finalFull = view, full
 		}
 	}
 	ds.days, ds.fold = days, nil

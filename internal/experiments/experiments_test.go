@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/gplus"
 	"repro/internal/metrics"
 )
 
@@ -52,8 +55,8 @@ func TestDatasetCached(t *testing.T) {
 	if a.HalfView() == nil || a.FinalView() == nil {
 		t.Fatal("dataset must retain halfway and final views")
 	}
-	if len(a.Days()) != a.Sim().Cfg.Days {
-		t.Errorf("recorded %d day metrics, want %d", len(a.Days()), a.Sim().Cfg.Days)
+	if days := gplus.DefaultConfig().Days; len(a.Days()) != days {
+		t.Errorf("recorded %d day metrics, want %d", len(a.Days()), days)
 	}
 }
 
@@ -62,8 +65,8 @@ func TestDatasetTimelinesBackMetrics(t *testing.T) {
 	if d.FullTimeline() == nil || d.ViewTimeline() == nil {
 		t.Fatal("dataset must retain its packed timelines")
 	}
-	if d.FullTimeline().NumDays() != d.Sim().Cfg.Days || d.ViewTimeline().NumDays() != d.Sim().Cfg.Days {
-		t.Fatalf("timelines hold %d/%d days, want %d", d.FullTimeline().NumDays(), d.ViewTimeline().NumDays(), d.Sim().Cfg.Days)
+	if days := gplus.DefaultConfig().Days; d.FullTimeline().NumDays() != days || d.ViewTimeline().NumDays() != days {
+		t.Fatalf("timelines hold %d/%d days, want %d", d.FullTimeline().NumDays(), d.ViewTimeline().NumDays(), days)
 	}
 	// The recorded metrics must be reproducible from the store: the
 	// final day's stats come from the reconstructed crawl view.
@@ -90,11 +93,16 @@ func eqNaN(a, b float64) bool {
 	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }
 
+// TestTimelineDatasetMatchesSimulation is the one-build-path gate:
+// GetDataset and a timeline-backed dataset over the same packed
+// timelines must agree on every per-day record and on every registry
+// figure, bit for bit.  Figure 15 alone is exempt: it scores the
+// recorded evolution trace, which only GetDataset carries.
 func TestTimelineDatasetMatchesSimulation(t *testing.T) {
 	sim := GetDataset(qc())
 	tl := NewTimelineDataset(qc(), sim.FullTimeline(), sim.ViewTimeline())
-	if tl.Sim() != nil || tl.Trace() != nil {
-		t.Error("timeline-backed dataset must not carry a simulator or trace")
+	if sim.Trace() == nil || tl.Trace() != nil {
+		t.Error("only the simulated dataset carries a trace")
 	}
 	simDays, tlDays := sim.Days(), tl.Days()
 	if len(tlDays) != len(simDays) {
@@ -111,36 +119,47 @@ func TestTimelineDatasetMatchesSimulation(t *testing.T) {
 			t.Fatalf("day %d metrics diverge:\nsim %+v\ntl  %+v", i+1, simDays[i], tlDays[i])
 		}
 	}
-	if tl.HalfView().Stats() != sim.HalfView().Stats() {
-		t.Errorf("halfway views diverge: %+v vs %+v", tl.HalfView().Stats(), sim.HalfView().Stats())
-	}
-	if tl.FinalFull().Stats() != sim.FinalFull().Stats() {
-		t.Errorf("final full SANs diverge: %+v vs %+v", tl.FinalFull().Stats(), sim.FinalFull().Stats())
-	}
-	// Per-figure dispatch with an injected source must agree with the
-	// simulation path.
-	fromTL, err := RunOn("2", tl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromSim, err := Run("2", qc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromTL.Series) != len(fromSim.Series) {
-		t.Fatalf("series count diverges: %d vs %d", len(fromTL.Series), len(fromSim.Series))
-	}
-	for i, s := range fromSim.Series {
-		got := fromTL.Series[i]
-		if got.Name != s.Name || len(got.Y) != len(s.Y) {
-			t.Fatalf("series %d diverges: %q/%d vs %q/%d", i, got.Name, len(got.Y), s.Name, len(s.Y))
+	for _, id := range IDs() {
+		if id == "15" {
+			continue
 		}
-		for j := range s.Y {
-			if got.Y[j] != s.Y[j] {
-				t.Fatalf("series %q Y[%d]: %v vs %v", s.Name, j, got.Y[j], s.Y[j])
-			}
+		fromSim, err := RunOn(id, sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromTL, err := RunOn(id, tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameFigure(fromSim, fromTL); err != nil {
+			t.Errorf("figure %s: GetDataset and timeline dataset diverge: %v", id, err)
 		}
 	}
+}
+
+// sameFigure reports the first difference between two figures,
+// comparing every series value bitwise.
+func sameFigure(a, b Figure) error {
+	if a.ID != b.ID || a.Title != b.Title || !slices.Equal(a.Notes, b.Notes) {
+		return fmt.Errorf("metadata or notes differ: %q %q %q vs %q %q %q", a.ID, a.Title, a.Notes, b.ID, b.Title, b.Notes)
+	}
+	if len(a.Series) != len(b.Series) {
+		return fmt.Errorf("%d series vs %d", len(a.Series), len(b.Series))
+	}
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for i, s := range a.Series {
+		o := b.Series[i]
+		if s.Name != o.Name || !slices.Equal(bits(s.X), bits(o.X)) || !slices.Equal(bits(s.Y), bits(o.Y)) {
+			return fmt.Errorf("series %q differs:\n%v %v\n%v %v", s.Name, s.X, s.Y, o.X, o.Y)
+		}
+	}
+	return nil
 }
 
 func TestGrowthMonotone(t *testing.T) {

@@ -115,8 +115,8 @@ func TestFoldMatchesRecompute(t *testing.T) {
 }
 
 // countdownCtx cancels itself after a fixed number of Err checks —
-// a deterministic stand-in for a client disconnecting mid-build.  The
-// cursor (and the sim perDay hook) polls Err once per day, so the
+// a deterministic stand-in for a client disconnecting mid-build.
+// Build polls Err once on entry and the cursor once per day, so the
 // countdown positions the cancellation at an exact day boundary.
 type countdownCtx struct {
 	context.Context
@@ -131,8 +131,8 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestDatasetBuildResume is the resumability gate for both build
-// backends: cancel a build mid-walk (several times, at different
+// TestDatasetBuildResume is the resumability gate for both timeline
+// sources: cancel a build mid-fold (several times, at different
 // days), resume it to completion, and require the result to be
 // bitwise-identical to an uninterrupted twin.  The Progress day count
 // additionally proves no day was ever measured twice.
@@ -181,12 +181,20 @@ func TestDatasetBuildResume(t *testing.T) {
 	t.Run("sim", func(t *testing.T) {
 		// A private handle (not GetDataset) so the shared cache never
 		// holds a half-built dataset.
-		ds := &Dataset{Cfg: cfg, build: buildSimDataset}
-		// First cancel lands mid-simulation, later ones mid-fold.
-		for _, checks := range []int{5, 40, 80} {
+		prog := &obs.Progress{}
+		rcfg := cfg
+		rcfg.Progress = prog
+		ds := &Dataset{Cfg: rcfg, pack: simulateTimelines}
+		// The in-memory pack does not poll ctx, so every cancel lands in
+		// the fold: the first Build packs the timelines and stops four
+		// days into measuring them.
+		for _, checks := range []int{5, 40, 1} {
 			err := ds.Build(&countdownCtx{Context: context.Background(), checks: checks})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("Build with countdown %d: %v, want context.Canceled", checks, err)
+			}
+			if ds.full == nil || ds.fold == nil {
+				t.Fatalf("cancel with countdown %d did not land in the fold", checks)
 			}
 		}
 		if err := ds.Build(context.Background()); err != nil {
@@ -201,6 +209,13 @@ func TestDatasetBuildResume(t *testing.T) {
 				t.Fatalf("day %d: resumed sim build diverges: %v", i+1, err)
 			}
 		}
+		if n := prog.Days(); n != 2*int64(len(wantDays)) {
+			t.Errorf("progress counted %d days, want %d (each day simulated once and folded once)",
+				n, 2*len(wantDays))
+		}
+		if ds.HalfView().Stats() != control.HalfView().Stats() {
+			t.Errorf("halfway views diverge: %+v vs %+v", ds.HalfView().Stats(), control.HalfView().Stats())
+		}
 		if ds.FinalFull().Stats() != control.FinalFull().Stats() {
 			t.Errorf("final full SANs diverge: %+v vs %+v", ds.FinalFull().Stats(), control.FinalFull().Stats())
 		}
@@ -210,7 +225,7 @@ func TestDatasetBuildResume(t *testing.T) {
 // TestRecomputeDatasetMatchesFold checks the snapshots the fold
 // captures in passing — the halfway and final crawl views and the final
 // full SAN — byte-for-byte against ReconstructAt on the same timelines,
-// for both the simulation-backed and the timeline-backed dataset.
+// for both GetDataset and a timeline-backed dataset.
 func TestRecomputeDatasetMatchesFold(t *testing.T) {
 	cfg := goldenConfig()
 	sim := GetDataset(cfg)
@@ -243,7 +258,7 @@ func TestRecomputeDatasetMatchesFold(t *testing.T) {
 // figure drivers to dereference.
 func TestEmptyTimelineDatasetPanics(t *testing.T) {
 	const want = "experiments: timeline has no days"
-	empty := snapstore.NewBuilder().Timeline()
+	empty := snapstore.NewLive().Timeline()
 	ds := NewTimelineDataset(goldenConfig(), empty, nil)
 	for _, access := range []func(){func() { ds.Days() }, func() { ds.HalfView() }} {
 		func() {

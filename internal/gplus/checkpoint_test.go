@@ -17,14 +17,14 @@ func ckptConfig() Config {
 	return cfg
 }
 
-func packBoth(t *testing.T, s *Simulator, startDay, stopDay int, full, view *snapstore.Builder) {
+func packBoth(t *testing.T, s *Simulator, startDay, stopDay int, full, view *snapstore.Live) {
 	t.Helper()
 	if err := s.StreamTimelines(startDay, stopDay, full, view, nil); err != nil {
 		t.Fatalf("StreamTimelines(%d, %d): %v", startDay, stopDay, err)
 	}
 }
 
-func timelineBytes(t *testing.T, b *snapstore.Builder) []byte {
+func timelineBytes(t *testing.T, b *snapstore.Live) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := b.Timeline().WriteTo(&buf); err != nil {
@@ -39,13 +39,13 @@ func timelineBytes(t *testing.T, b *snapstore.Builder) []byte {
 func TestCheckpointResumeDeterminism(t *testing.T) {
 	cfg := ckptConfig()
 
-	refFull, refView := snapstore.NewBuilder(), snapstore.NewBuilder()
+	refFull, refView := snapstore.NewLive(), snapstore.NewLive()
 	packBoth(t, New(cfg), 1, 0, refFull, refView)
 	wantFull := timelineBytes(t, refFull)
 	wantView := timelineBytes(t, refView)
 
 	for _, k := range []int{1, 13, cfg.Days - 1} {
-		gotFull, gotView := snapstore.NewBuilder(), snapstore.NewBuilder()
+		gotFull, gotView := snapstore.NewLive(), snapstore.NewLive()
 
 		first := New(cfg)
 		packBoth(t, first, 1, k, gotFull, gotView)
@@ -166,7 +166,7 @@ func TestSequentialBytesPinned(t *testing.T) {
 	if got, want := hex.EncodeToString(state[:7]), "4750434b020000"; got != want {
 		t.Errorf("state header %s, want %s", got, want)
 	}
-	full, view := snapstore.NewBuilder(), snapstore.NewBuilder()
+	full, view := snapstore.NewLive(), snapstore.NewLive()
 	packBoth(t, New(ckptConfig()), 1, 0, full, view)
 	for _, c := range []struct {
 		name string

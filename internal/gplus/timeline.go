@@ -15,7 +15,8 @@ import (
 // stream never pays the per-day clone.  Streaming sinks
 // (snapstore.StreamWriter) bound resident memory by the live SAN plus
 // one day's record — the whole-timeline residency of the in-memory
-// Builder path is what capped runs below crawl scale.
+// sink (snapstore.Live, RunTimelines) is what caps runs below crawl
+// scale.
 //
 // perDay (optional) observes each day after its records are packed; v
 // is nil when no view sink is set.  A non-nil perDay error — or any
@@ -103,7 +104,7 @@ func sinkBytes(full, view snapstore.DaySink) int {
 // may be retained.  Crawl-scale runs stream through StreamTimelines
 // instead of materializing both timelines.
 func (s *Simulator) RunTimelines(perDay func(day int, full, view *san.SAN)) (full, view *snapstore.Timeline, err error) {
-	fb, vb := snapstore.NewBuilder(), snapstore.NewBuilder()
+	fb, vb := snapstore.NewLive(), snapstore.NewLive()
 	var hook func(day int, g, v *san.SAN) error
 	if perDay != nil {
 		hook = func(day int, g, v *san.SAN) error {
@@ -115,19 +116,4 @@ func (s *Simulator) RunTimelines(perDay func(day int, full, view *san.SAN)) (ful
 		return nil, nil, err
 	}
 	return fb.Timeline(), vb.Timeline(), nil
-}
-
-// PackTimeline runs a fresh simulation of cfg and returns the packed
-// timeline of either the full SAN or the crawl view.  It is the
-// one-call path used by the tests and benchmarks; cmd/sanstore streams
-// the equivalent bytes to disk without the in-memory timeline.
-func PackTimeline(cfg Config, observed bool) (*snapstore.Timeline, error) {
-	full, view, err := New(cfg).RunTimelines(nil)
-	if err != nil {
-		return nil, err
-	}
-	if observed {
-		return view, nil
-	}
-	return full, nil
 }

@@ -16,9 +16,9 @@ func streamConfig() Config {
 	return cfg
 }
 
-// countingSink wraps a Builder and records how many days were packed.
+// countingSink wraps a Live and records how many days were packed.
 type countingSink struct {
-	b    *snapstore.Builder
+	b    *snapstore.Live
 	days int
 }
 
@@ -34,7 +34,7 @@ func (c *countingSink) PackedBytes() int { return c.b.PackedBytes() }
 
 // failingSink errors on the Nth append.
 type failingSink struct {
-	b      *snapstore.Builder
+	b      *snapstore.Live
 	failAt int
 	n      int
 }
@@ -59,7 +59,7 @@ func TestStreamSinkErrorStopsRun(t *testing.T) {
 	for _, mode := range []string{"full", "view"} {
 		t.Run(mode, func(t *testing.T) {
 			s := New(cfg)
-			bad := &failingSink{b: snapstore.NewBuilder(), failAt: 5}
+			bad := &failingSink{b: snapstore.NewLive(), failAt: 5}
 			var err error
 			if mode == "full" {
 				err = s.StreamTimelines(1, 0, bad, nil, nil)
@@ -85,7 +85,7 @@ func TestStreamSinkErrorStopsRun(t *testing.T) {
 // day up to and including it.
 func TestPipelinedBarrierDrains(t *testing.T) {
 	s := New(streamConfig())
-	sink := &countingSink{b: snapstore.NewBuilder()}
+	sink := &countingSink{b: snapstore.NewLive()}
 	var barrierDays []int
 	err := s.StreamTimelines(1, 0, nil, sink, func(day int, _, _ *san.SAN) error {
 		if sink.days != day {
@@ -116,7 +116,7 @@ func TestPipelinedBarrierDrains(t *testing.T) {
 func TestPipelinedBarrierErrorStopsRun(t *testing.T) {
 	s := New(streamConfig())
 	boom := errors.New("checkpoint boom")
-	err := s.StreamTimelines(1, 0, nil, snapstore.NewBuilder(), func(day int, _, _ *san.SAN) error {
+	err := s.StreamTimelines(1, 0, nil, snapstore.NewLive(), func(day int, _, _ *san.SAN) error {
 		if day == 9 {
 			return boom
 		}

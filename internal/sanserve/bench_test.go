@@ -25,11 +25,7 @@ func benchHandler(b *testing.B) http.Handler {
 		cfg.DailyBase = 6
 		cfg.Days = 12
 		cfg.Seed = 7
-		full, err := gplus.PackTimeline(cfg, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		view, err := gplus.PackTimeline(cfg, true)
+		full, view, err := gplus.New(cfg).RunTimelines(nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func ExampleServer() {
 	cfg.DailyBase = 4
 	cfg.Days = 6
 	cfg.Seed = 1
-	tl, err := gplus.PackTimeline(cfg, false)
+	tl, _, err := gplus.New(cfg).RunTimelines(nil)
 	if err != nil {
 		fmt.Println("pack:", err)
 		return

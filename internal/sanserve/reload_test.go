@@ -53,13 +53,10 @@ func packPair(t *testing.T, seed uint64, days int) (*snapstore.Timeline, *snapst
 	cfg.DailyBase = 4
 	cfg.Days = days
 	cfg.Seed = seed
-	full, err := gplus.PackTimeline(cfg, false)
+	full, view, err := gplus.New(cfg).RunTimelines(nil)
 	if err == nil {
-		var view *snapstore.Timeline
-		if view, err = gplus.PackTimeline(cfg, true); err == nil {
-			packedTLs[key] = &[2]*snapstore.Timeline{full, view}
-			return full, view
-		}
+		packedTLs[key] = &[2]*snapstore.Timeline{full, view}
+		return full, view
 	}
 	packedErrs[key] = err
 	t.Fatal(err)

@@ -5,8 +5,8 @@
 // Queries never re-simulate.  A mounted timeline is wrapped in an
 // experiments.Dataset built from injected snapshots
 // (experiments.NewTimelineDataset), day reconstruction goes through
-// the snapstore.Store LRU, day-range sweeps run on the snapstore.Map
-// worker pool, and finished figure encodings are kept in a
+// the snapstore.Store LRU, day-range sweeps walk one snapstore cursor
+// forward, and finished figure encodings are kept in a
 // bounded result cache keyed on (timeline, figure, day-range, format)
 // with single-flight de-duplication, so concurrent identical requests
 // compute once and every later repeat is a byte-copy.
@@ -25,7 +25,7 @@
 //	    ?scenarios=A,B,C                mounts to compare (default: all)
 //	GET /v1/snapshots/{day}/stats       headline metrics of one reconstructed day
 //	    ?timeline=NAME&source=full|view
-//	GET /v1/snapshots/stats?days=LO-HI  per-day stats, swept on a GOMAXPROCS worker pool
+//	GET /v1/snapshots/stats?days=LO-HI  per-day stats, one sequential delta walk
 //	    ?timeline=NAME&source=full|view
 //
 // A scenario-sweep workspace (see internal/scenario and `sangen
@@ -808,9 +808,10 @@ func (s *Server) handleSnapshotStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, snapshotStats(m.Name, day, srcName, g))
 }
 
-// handleStatsSweep computes per-day stats over a day range on the
-// snapstore worker pool (one reconstruction plus delta replay per
-// worker chunk, not one reconstruction per day).
+// handleStatsSweep computes per-day stats over a day range with one
+// cursor: Seek replays the deltas up to the first requested day, then
+// each Next applies one more day — one decode of day 0 plus one delta
+// per day, not one reconstruction per day.
 func (s *Server) handleStatsSweep(w http.ResponseWriter, r *http.Request) {
 	m, err := s.mountFor(r)
 	if err != nil {
@@ -832,18 +833,32 @@ func (s *Server) handleStatsSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.snapshotRequests.Add(1)
-	days := make([]int, 0, hi-lo+1)
-	for d := lo; d <= hi; d++ {
-		days = append(days, d-1)
-	}
-	out := make([]SnapshotStats, len(days))
-	err = snapstore.Map(store, days, func(i int, g *san.SAN) error {
-		out[i-(lo-1)] = snapshotStats(m.Name, i+1, srcName, g)
-		return nil
-	})
+	out, err := sweepStats(r.Context(), m.Name, srcName, store.Timeline(), lo, hi)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, map[string]any{"stats": out})
+}
+
+// sweepStats walks tl forward once and returns the stats of 1-based
+// days lo..hi.
+func sweepStats(ctx context.Context, name, src string, tl *snapstore.Timeline, lo, hi int) ([]SnapshotStats, error) {
+	cur, err := snapstore.OpenCursorN([]*snapstore.Timeline{tl})
+	if err != nil {
+		return nil, err
+	}
+	defer cur.Close()
+	if err := cur.Seek(lo - 1); err != nil {
+		return nil, err
+	}
+	out := make([]SnapshotStats, 0, hi-lo+1)
+	for day := lo; day <= hi; day++ {
+		_, gs, _, err := cur.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, snapshotStats(name, day, src, gs[0]))
+	}
+	return out, nil
 }

@@ -32,11 +32,8 @@ func testTimelines(t *testing.T) (*snapstore.Timeline, *snapstore.Timeline) {
 		cfg.Days = 12
 		cfg.Seed = 7
 		var err error
-		if tlFull, err = gplus.PackTimeline(cfg, false); err != nil {
-			t.Fatalf("packing full timeline: %v", err)
-		}
-		if tlView, err = gplus.PackTimeline(cfg, true); err != nil {
-			t.Fatalf("packing view timeline: %v", err)
+		if tlFull, tlView, err = gplus.New(cfg).RunTimelines(nil); err != nil {
+			t.Fatalf("packing timelines: %v", err)
 		}
 	})
 	return tlFull, tlView
@@ -278,8 +275,8 @@ func TestSnapshotStats(t *testing.T) {
 		t.Fatalf("served stats %+v disagree with reconstruction %+v", st, want)
 	}
 
-	// Sweep returns one record per day in order, computed on the
-	// worker pool.
+	// Sweep returns one record per day in order, computed by one
+	// forward walk.
 	rec = get(t, h, "/v1/snapshots/stats?days=2-7&source=view")
 	var sweep struct {
 		Stats []SnapshotStats `json:"stats"`

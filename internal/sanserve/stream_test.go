@@ -310,13 +310,16 @@ func TestLiveMount(t *testing.T) {
 	h := s.Handler()
 
 	// The producer replays the packed test timeline day by day.
+	cur, err := snapstore.OpenCursorN([]*snapstore.Timeline{full})
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
 	go func() {
 		defer close(done)
-		cur := full.Cursor()
 		defer cur.Close()
 		for {
-			_, g, _, err := cur.Next(context.Background())
+			_, gs, _, err := cur.Next(context.Background())
 			if err == snapstore.ErrDone {
 				live.Finish()
 				return
@@ -325,7 +328,7 @@ func TestLiveMount(t *testing.T) {
 				done <- err
 				return
 			}
-			if err := live.Append(g); err != nil {
+			if err := live.Append(gs[0]); err != nil {
 				done <- err
 				return
 			}

@@ -2,12 +2,12 @@ package snapstore_test
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/gplus"
-	"repro/internal/san"
 	"repro/internal/snapstore"
 )
 
@@ -32,7 +32,7 @@ var (
 func benchTimeline(b *testing.B) (*snapstore.Timeline, []byte) {
 	b.Helper()
 	benchOnce.Do(func() {
-		tl, err := gplus.PackTimeline(benchCfg(), false)
+		tl, _, err := gplus.New(benchCfg()).RunTimelines(nil)
 		if err != nil {
 			benchTLErr = err
 			return
@@ -79,24 +79,34 @@ func BenchmarkResimulateFinalDay(b *testing.B) {
 	}
 }
 
-// BenchmarkTimelineMap measures the parallel metric engine over the
-// full 98-day range (one cheap deterministic metric per day, so the
-// number reflects reconstruction throughput, not metric cost).
+// BenchmarkTimelineMap measures a sequential sweep over the full
+// 98-day range — one cursor, one decode of day 0 and one delta replay
+// per later day, the walk behind /v1/snapshots/stats — with one cheap
+// deterministic metric per day, so the number reflects replay
+// throughput, not metric cost.
 func BenchmarkTimelineMap(b *testing.B) {
 	tl, _ := benchTimeline(b)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := snapstore.NewStore(tl, 8)
-		err := snapstore.Map(st, snapstore.AllDays(tl), func(day int, g *san.SAN) error {
-			if g.Reciprocity() < 0 {
-				b.Fail()
-			}
-			return nil
-		})
+		cur, err := snapstore.OpenCursorN([]*snapstore.Timeline{tl})
 		if err != nil {
 			b.Fatal(err)
 		}
+		for {
+			_, gs, _, err := cur.Next(ctx)
+			if err == snapstore.ErrDone {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if gs[0].Reciprocity() < 0 {
+				b.Fail()
+			}
+		}
+		cur.Close()
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"repro/internal/san"
 )
 
-// ErrDone is returned by Cursor.Next and CursorN.Next once every day
+// ErrDone is returned by CursorN.Next once every day
 // has been visited.  It is a clean end-of-data sentinel, not a
 // failure.
 var ErrDone = errors.New("snapstore: cursor exhausted")
@@ -225,28 +225,3 @@ func (c *CursorN) ensureDeltas() {
 		}
 	}
 }
-
-// Cursor is the single-timeline form of CursorN.
-type Cursor struct {
-	n CursorN
-}
-
-// Cursor opens a pull-based walk over the timeline.
-func (t *Timeline) Cursor() *Cursor {
-	return &Cursor{n: CursorN{srcs: []DaySource{t}}}
-}
-
-// Next advances to the next day; see CursorN.Next.
-func (c *Cursor) Next(ctx context.Context) (int, *san.SAN, *Delta, error) {
-	day, gs, ds, err := c.n.Next(ctx)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return day, gs[0], ds[0], nil
-}
-
-// Seek fast-forwards so the next Next returns day; see CursorN.Seek.
-func (c *Cursor) Seek(day int) error { return c.n.Seek(day) }
-
-// Close releases the cursor; see CursorN.Close.
-func (c *Cursor) Close() { c.n.Close() }

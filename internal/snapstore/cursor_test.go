@@ -10,6 +10,16 @@ import (
 	"repro/internal/snapstore"
 )
 
+// openCursor opens a single-timeline cursor.
+func openCursor(t *testing.T, tl *snapstore.Timeline) *snapstore.CursorN {
+	t.Helper()
+	cur, err := snapstore.OpenCursorN([]*snapstore.Timeline{tl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cur
+}
+
 // TestCursorSeekMatchesNext checks that Seek(k) leaves the cursor in
 // exactly the state sequential Next calls reach: the day returned
 // after the seek carries the same graph and the same delta.
@@ -22,15 +32,16 @@ func TestCursorSeekMatchesNext(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, k := range []int{0, 1, 7, tl.NumDays() - 1} {
-		seq := tl.Cursor()
+		seq := openCursor(t, tl)
 		var wantG *san.SAN
 		var wantD snapstore.Delta
 		for {
-			day, g, d, err := seq.Next(ctx)
+			day, gs, ds, err := seq.Next(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if day == k {
+				g, d := gs[0], ds[0]
 				wantG = g
 				wantD = snapstore.Delta{
 					NewSocial:   d.NewSocial,
@@ -42,14 +53,15 @@ func TestCursorSeekMatchesNext(t *testing.T) {
 			}
 		}
 
-		skipped := tl.Cursor()
+		skipped := openCursor(t, tl)
 		if err := skipped.Seek(k); err != nil {
 			t.Fatalf("Seek(%d): %v", k, err)
 		}
-		day, g, d, err := skipped.Next(ctx)
+		day, gs, ds, err := skipped.Next(ctx)
 		if err != nil {
 			t.Fatalf("Next after Seek(%d): %v", k, err)
 		}
+		g, d := gs[0], ds[0]
 		if day != k {
 			t.Fatalf("Next after Seek(%d) returned day %d", k, day)
 		}
@@ -78,7 +90,7 @@ func TestCursorSeekErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := tl.Cursor()
+	cur := openCursor(t, tl)
 	defer cur.Close()
 	if err := cur.Seek(3); err != nil {
 		t.Fatal(err)
@@ -105,7 +117,7 @@ func TestCursorContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cur := tl.Cursor()
+	cur := openCursor(t, tl)
 	if _, _, _, err := cur.Next(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func applyGroups[T id](r *reader, numSocial, max int, what string, add func(u sa
 }
 
 // encodeDelta builds a delta record from the per-node link counts the
-// Builder tracked for the previous day.  next must be an append-only
+// dayEncoder tracked for the previous day.  next must be an append-only
 // extension of that state; a shrinking list reports an error.
 func encodeDelta(next *san.SAN, prevSocial, prevAttrs int, prevOutDeg, prevAttrDeg []int32) ([]byte, error) {
 	n, na := next.NumSocial(), next.NumAttrs()

@@ -3,7 +3,7 @@
 // days in this reproduction) packed into one compact, structure-sharing
 // container.
 //
-// The layer has five parts:
+// The layer has four parts:
 //
 //   - a binary snapshot format (EncodeSnapshot/DecodeSnapshot):
 //     CSR-packed social out-adjacency, attribute links and the
@@ -13,16 +13,14 @@
 //   - a Timeline container: day 0 as a full snapshot, every later day
 //     as a forward delta (new nodes, new edges, new attribute links —
 //     the evolution is append-only), reconstructable at any day and
-//     serializable to a single file (WriteTo/ReadTimeline);
+//     serializable to a single file (WriteTo/ReadTimeline), packed
+//     through one of two DaySinks: Live in memory, StreamWriter on
+//     disk;
 //   - a concurrent Store with a bounded snapshot cache and
 //     single-flight reconstruction, so concurrent readers of the same
 //     day do the work once and nearby days reuse cached ancestors;
-//   - a parallel engine (Map) that evaluates metric closures over
-//     snapshot ranges on a worker pool, walking each contiguous chunk
-//     of days incrementally instead of reconstructing every day from
-//     scratch;
-//   - a pull-based Cursor/CursorN that walks every day in order over
-//     one evolving SAN per timeline, handing incremental consumers each
+//   - a pull-based CursorN that walks every day in order over one
+//     evolving SAN per timeline, handing incremental consumers each
 //     day's parsed Delta.
 //
 // internal/gplus emits timelines directly from the reference

@@ -16,7 +16,7 @@ func ExampleStore() {
 	bob := g.AddSocialNode()
 	g.AddSocialEdge(alice, bob)
 
-	b := snapstore.NewBuilder()
+	b := snapstore.NewLive()
 	b.Append(g) // day 1 is stored as a full snapshot
 
 	// Day 2: the follow is reciprocated and a school attribute appears.

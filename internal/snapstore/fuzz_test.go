@@ -57,7 +57,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 func FuzzDecodeTimeline(f *testing.F) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	for i := 0; i < 3; i++ {
-		b := NewBuilder()
+		b := NewLive()
 		g := RandomSAN(rng)
 		if err := b.Append(g); err != nil {
 			f.Fatal(err)

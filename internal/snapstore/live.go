@@ -8,16 +8,16 @@ import (
 	"repro/internal/san"
 )
 
-// Live is a packed timeline still being produced: one producer
-// appends days through the DaySink interface (the same encoder as
-// Builder, so the records are bitwise what a packed file would hold)
-// while any number of cursors tail it through the DaySource interface,
-// blocking on days that have not arrived yet.  Finish marks the end of
-// the sequence, after which waiting readers drain and stop.
+// Live is the in-memory DaySink: one producer appends days (the same
+// encoder as StreamWriter, so the records are bitwise what a packed
+// file would hold) while any number of cursors tail it through the
+// DaySource interface, blocking on days that have not arrived yet.
+// Finish marks the end of the sequence, after which waiting readers
+// drain and stop; Timeline freezes the days appended so far.
 //
-// A sangen -stream-out run tees its sink into a Live so a mounted
-// server can stream the evolution while the simulation is still
-// running.
+// gplus.RunTimelines packs into a pair of Lives, and a sangen
+// -stream-out run tees its disk sink into one so a mounted server can
+// stream the evolution while the simulation is still running.
 type Live struct {
 	mu       sync.Mutex
 	enc      dayEncoder
@@ -69,6 +69,15 @@ func (l *Live) NumDays() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.days)
+}
+
+// Timeline returns the days appended so far as an immutable Timeline.
+// The producer may keep appending; the returned timeline does not see
+// later days.
+func (l *Live) Timeline() *Timeline {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return &Timeline{days: l.days[:len(l.days):len(l.days)]}
 }
 
 // Finished reports whether the producer has called Finish.

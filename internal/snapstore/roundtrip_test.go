@@ -118,7 +118,7 @@ func TestApplyDeltaCorruptInputs(t *testing.T) {
 
 // TestReadTimelineCorruptInputs covers the container parser.
 func TestReadTimelineCorruptInputs(t *testing.T) {
-	b := NewBuilder()
+	b := NewLive()
 	if err := b.Append(RandomSAN(rand.New(rand.NewPCG(1, 2)))); err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +144,8 @@ func TestReadTimelineCorruptInputs(t *testing.T) {
 	}
 }
 
-// TestTimelineBuilderRejectsNonAppendOnly verifies the builder notices
-// a shrinking network.
+// TestTimelineBuilderRejectsNonAppendOnly verifies the in-memory sink
+// notices a shrinking network.
 func TestTimelineBuilderRejectsNonAppendOnly(t *testing.T) {
 	big := san.New(4, 0, 4)
 	big.AddSocialNodes(4)
@@ -154,7 +154,7 @@ func TestTimelineBuilderRejectsNonAppendOnly(t *testing.T) {
 	small := san.New(2, 0, 0)
 	small.AddSocialNodes(2)
 
-	b := NewBuilder()
+	b := NewLive()
 	if err := b.Append(big); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTimelineBuilderRejectsNonAppendOnly(t *testing.T) {
 	}
 
 	// Same node count but a shrunken adjacency list must also fail.
-	b2 := NewBuilder()
+	b2 := NewLive()
 	if err := b2.Append(big); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestTimelineBuilderRejectsNonAppendOnly(t *testing.T) {
 // checks the binary reconstruction against a text round trip of it.
 func TestTextAndTimelineFormatsAgree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 42))
-	b := NewBuilder()
+	b := NewLive()
 	g := san.New(0, 0, 0)
 	g.AddSocialNodes(10)
 	var sans []*san.SAN

@@ -33,16 +33,6 @@ func RandomSAN(rng *rand.Rand) *san.SAN {
 	return g
 }
 
-// AllDays returns the full day range [0, tl.NumDays()) for mapping an
-// entire timeline.
-func AllDays(tl *Timeline) []int {
-	days := make([]int, tl.NumDays())
-	for i := range days {
-		days[i] = i
-	}
-	return days
-}
-
 // SameSAN reports whether a and b are equal up to adjacency-list
 // ordering: same nodes, same attribute catalog, same edge sets.
 func SameSAN(a, b *san.SAN) error {

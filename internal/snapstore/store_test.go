@@ -2,9 +2,7 @@ package snapstore_test
 
 import (
 	"bytes"
-	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/gplus"
@@ -138,66 +136,5 @@ func TestStoreCacheAndSingleFlight(t *testing.T) {
 	}
 	if _, err := st.Snapshot(30); err == nil {
 		t.Error("day past the end should error")
-	}
-}
-
-// TestMapNCoversAllDaysInLockstep checks the engine visits every
-// requested day exactly once with the reconstructed snapshot of that
-// day, deduplicates and sorts any input order, and returns the first
-// error.
-func TestMapNCoversAllDaysInLockstep(t *testing.T) {
-	cfg := testCfg()
-	cfg.Days = 25
-	sim := gplus.New(cfg)
-	full, _, err := sim.RunTimelines(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var visited [25]int32
-	err = snapstore.Map(snapstore.NewStore(full, 4), snapstore.AllDays(full), func(day int, g *san.SAN) error {
-		atomic.AddInt32(&visited[day], 1)
-		want, err := full.ReconstructAt(day)
-		if err != nil {
-			return err
-		}
-		return snapstore.SameSAN(want, g)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for day, n := range visited {
-		if n != 1 {
-			t.Errorf("day %d visited %d times, want 1", day, n)
-		}
-	}
-
-	// Sparse, unordered, duplicated day lists work too.
-	count := int32(0)
-	err = snapstore.Map(snapstore.NewStore(full, 2), []int{20, 3, 3, 11}, func(day int, g *san.SAN) error {
-		atomic.AddInt32(&count, 1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Errorf("sparse map visited %d days, want 3 (deduplicated)", count)
-	}
-
-	// The first error stops the sweep and is returned: from the
-	// visitor, and from reconstructing a day past the end.
-	sentinel := errors.New("stop here")
-	err = snapstore.Map(snapstore.NewStore(full, 2), snapstore.AllDays(full), func(day int, g *san.SAN) error {
-		if day == 7 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Errorf("visitor error not returned: %v", err)
-	}
-	if err := snapstore.Map(snapstore.NewStore(full, 2), []int{30}, func(int, *san.SAN) error { return nil }); err == nil {
-		t.Error("mapping a day past the end should error")
 	}
 }

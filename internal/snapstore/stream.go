@@ -12,7 +12,7 @@ import (
 )
 
 // DaySink consumes an evolving SAN one day at a time, packing each day
-// into the timeline encoding.  Builder (all days in memory) and
+// into the timeline encoding.  Live (all days in memory) and
 // StreamWriter (days spilled to disk as encoded) both implement it;
 // gplus.StreamTimelines emits through the interface so simulations
 // choose their memory/durability trade-off per sink.
@@ -54,7 +54,7 @@ func (t teeSink) PackedBytes() int {
 // dayEncoder turns a sequence of append-only SAN states into timeline
 // day records: the first Append encodes a full snapshot, every later
 // one a forward delta against the per-node link counts retained from
-// the previous day.  Builder and StreamWriter share it.
+// the previous day.  Live and StreamWriter share it.
 type dayEncoder struct {
 	numDays   int
 	numSocial int

@@ -31,14 +31,14 @@ func growingDays(seed uint64, numDays int) []*san.SAN {
 	return days
 }
 
-// TestStreamWriterMatchesBuilder is the tentpole byte-identity
-// guarantee: streaming days to disk produces the exact bytes the
-// in-memory Builder path writes.
+// TestStreamWriterMatchesBuilder is the byte-identity guarantee
+// between the two DaySinks: streaming days to disk produces the exact
+// bytes the in-memory Live sink holds.
 func TestStreamWriterMatchesBuilder(t *testing.T) {
 	days := growingDays(1, 14)
 	path := filepath.Join(t.TempDir(), "tl.bin")
 
-	b := NewBuilder()
+	b := NewLive()
 	w, err := NewStreamWriter(path)
 	if err != nil {
 		t.Fatal(err)
@@ -46,13 +46,13 @@ func TestStreamWriterMatchesBuilder(t *testing.T) {
 	defer w.Abort()
 	for day, g := range days {
 		if err := b.Append(g); err != nil {
-			t.Fatalf("builder day %d: %v", day, err)
+			t.Fatalf("live day %d: %v", day, err)
 		}
 		if err := w.Append(g); err != nil {
 			t.Fatalf("stream day %d: %v", day, err)
 		}
 		if b.PackedBytes() != w.PackedBytes() {
-			t.Fatalf("day %d: builder packed %d bytes, stream %d", day, b.PackedBytes(), w.PackedBytes())
+			t.Fatalf("day %d: live packed %d bytes, stream %d", day, b.PackedBytes(), w.PackedBytes())
 		}
 		if w.NumDays() != day+1 {
 			t.Fatalf("day %d: NumDays() = %d", day, w.NumDays())
@@ -61,7 +61,7 @@ func TestStreamWriterMatchesBuilder(t *testing.T) {
 	tl := b.Timeline()
 	for i := 0; i < tl.NumDays(); i++ {
 		if tl.DaySize(i) != w.DayLen(i) {
-			t.Fatalf("day %d: builder record %d bytes, stream %d", i, tl.DaySize(i), w.DayLen(i))
+			t.Fatalf("day %d: live record %d bytes, stream %d", i, tl.DaySize(i), w.DayLen(i))
 		}
 	}
 	if err := w.Finalize(); err != nil {
@@ -77,7 +77,7 @@ func TestStreamWriterMatchesBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("streamed file differs from Builder encoding (%d vs %d bytes)", len(got), want.Len())
+		t.Fatalf("streamed file differs from the Live encoding (%d vs %d bytes)", len(got), want.Len())
 	}
 	if _, err := os.Stat(path + spillSuffix); !os.IsNotExist(err) {
 		t.Errorf("spill file survived Finalize (stat err: %v)", err)
@@ -266,14 +266,14 @@ func TestStreamWriterLifecycleErrors(t *testing.T) {
 	}
 }
 
-// TestBuilderPackedBytesRunningTotal pins the O(1) running total
-// against the ground truth (per-day record sizes): polling PackedBytes
-// every day must stay linear, not rescans of all prior days — and,
-// above all, correct.
+// TestBuilderPackedBytesRunningTotal pins the in-memory sink's (Live's)
+// O(1) running total against the ground truth (per-day record sizes):
+// polling PackedBytes every day must stay linear, not rescans of all
+// prior days — and, above all, correct.
 func TestBuilderPackedBytesRunningTotal(t *testing.T) {
-	b := NewBuilder()
+	b := NewLive()
 	if b.PackedBytes() != 0 {
-		t.Fatalf("empty builder reports %d packed bytes", b.PackedBytes())
+		t.Fatalf("empty live timeline reports %d packed bytes", b.PackedBytes())
 	}
 	total := 0
 	for day, g := range growingDays(5, 10) {

@@ -153,36 +153,6 @@ func (t *Timeline) WriteFile(path string) error {
 	})
 }
 
-// Builder accumulates a timeline one day at a time, keeping every
-// packed record in memory.  Append the day-0 SAN first, then each
-// subsequent day's SAN; the builder tracks only per-node link counts
-// between calls, so appending day d costs O(new structure + |Vs|), not
-// O(|Es|).  For runs too large to hold every record, StreamWriter is
-// the disk-backed equivalent.
-type Builder struct {
-	enc    dayEncoder
-	days   [][]byte
-	packed int
-}
-
-// NewBuilder returns an empty timeline builder.
-func NewBuilder() *Builder { return &Builder{} }
-
-// Append records g as the next day.  The SAN sequence must be
-// append-only: relative to the previous day, only new social nodes,
-// attribute nodes, social edges and attribute links may appear, and
-// each adjacency list must extend the previous day's (which holds for
-// any evolution recorded through san.SAN's append-only mutators).
-func (b *Builder) Append(g *san.SAN) error {
-	rec, err := b.enc.encode(g)
-	if err != nil {
-		return err
-	}
-	b.days = append(b.days, rec)
-	b.packed += len(rec)
-	return nil
-}
-
 func resizeTo(s []int32, n int) []int32 {
 	if cap(s) < n {
 		s2 := make([]int32, n)
@@ -191,17 +161,3 @@ func resizeTo(s []int32, n int) []int32 {
 	}
 	return s[:n]
 }
-
-// Timeline returns the built timeline.  The builder may keep being
-// appended to afterwards; the returned timeline sees only the days
-// appended so far.
-func (b *Builder) Timeline() *Timeline {
-	return &Timeline{days: b.days[:len(b.days):len(b.days)]}
-}
-
-// PackedBytes reports the total encoded size of the days appended so
-// far; long-running packers read it between Appends to report
-// incremental output volume.  It is a running total maintained by
-// Append — O(1) per call, so per-day progress polling stays linear over
-// a run instead of quadratic.
-func (b *Builder) PackedBytes() int { return b.packed }
