@@ -2,7 +2,7 @@
 # docscheck: fail if README.md or DESIGN.md reference a package,
 # binary, CLI flag, test or benchmark that no longer exists in the tree.
 #
-# Five checks:
+# Six checks:
 #   1. every internal/<pkg>, cmd/<bin>, examples/<name> path mentioned
 #      in the docs must be a directory;
 #   2. every `-flag` token on a doc line that names a cmd/ binary must
@@ -12,7 +12,10 @@
 #      _test.go file;
 #   5. every backtick-quoted `pkg.Ident` whose pkg is a directory under
 #      internal/ must name a func, method, type, var or const declared
-#      in that package's non-test files.
+#      in that package's non-test files;
+#   6. every backtick-quoted `Type.Ident` whose Type is an exported
+#      type declared under internal/ must name a method, struct field
+#      or interface method of that type in non-test files.
 #
 # Run from the repository root: sh ci/docscheck.sh
 set -u
@@ -94,6 +97,55 @@ for ref in $(grep -ohE '`[^`]+`' $docs |
   [ -d "internal/$pkg" ] || continue
   if ! decls "$pkg" | grep -qx "$ident"; then
     echo "docscheck: docs mention $ref but internal/$pkg declares no $ident"
+    fail=1
+  fi
+done
+
+# --- 6: type-qualified members ------------------------------------
+# internal_src concatenates every non-test Go file under internal/.
+internal_src() {
+  for f in internal/*/*.go; do
+    case $f in *_test.go) continue ;; esac
+    cat "$f"
+  done
+}
+# The exported types declared under internal/.
+types=$(internal_src | awk '/^type [A-Z]/ { print $2 }' | sort -u)
+# members lists Type.Member for every method of an exported type and
+# every field (or interface method) in its declaration body; a type
+# name declared by two packages gets the union of their members.
+members=$(internal_src | awk '
+  /^func \([A-Za-z_]* ?\*?[A-Z][A-Za-z0-9_]*(\[[^]]*\])?\) [A-Za-z_]/ {
+    s = $0; sub(/^func \([A-Za-z_]* ?\*?/, "", s)
+    t = s; sub(/[^A-Za-z0-9_].*/, "", t)
+    m = s; sub(/^[^)]*\) /, "", m); sub(/[^A-Za-z0-9_].*/, "", m)
+    print t "." m; next
+  }
+  /^type [A-Z][A-Za-z0-9_]* (struct|interface) \{$/ { t = $2; body = 1; next }
+  body && /^}/ { body = 0; next }
+  body && /^\t[*A-Za-z_]/ {
+    s = $0; sub(/^\t\*?/, "", s); sub(/[ \t(].*/, "", s); sub(/,$/, "", s)
+    sub(/^[a-z]+\./, "", s) # embedded pkg.Type: the field is Type
+    print t "." s
+    rest = $0; sub(/^\t/, "", rest)
+    while (match(rest, /^[A-Za-z_][A-Za-z0-9_]*, */)) { # a, b T
+      rest = substr(rest, RLENGTH + 1)
+      n = rest; sub(/[^A-Za-z0-9_].*/, "", n); print t "." n
+    }
+  }
+' | sort -u)
+# A Type.Ident token inside a backtick span, optionally qualified by a
+# package (pkg.Type.Ident); a qualifier that is not an internal/
+# package (http.Server.Shutdown) disqualifies the match.
+for ref in $(grep -ohE '`[^`]+`' $docs |
+  grep -oE '(^|[^A-Za-z0-9_./])([a-z][a-z0-9]*\.)?[A-Z][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*' |
+  sed -E 's/^[^a-zA-Z]//' | sort -u); do
+  case $ref in
+  [a-z]*) pkg=${ref%%.*}; [ -d "internal/$pkg" ] || continue; ref=${ref#*.} ;;
+  esac
+  echo "$types" | grep -qx "${ref%%.*}" || continue
+  if ! echo "$members" | grep -qx "$ref"; then
+    echo "docscheck: docs mention $ref but no internal/ type ${ref%%.*} declares ${ref#*.}"
     fail=1
   fi
 done

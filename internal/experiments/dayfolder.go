@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/metrics"
 	"repro/internal/san"
 	"repro/internal/snapstore"
@@ -68,28 +66,4 @@ func (f *DayFolder) Measure(day int, full, view *san.SAN) DayMetrics {
 	m.MuAttrDeg, m.SigmaAttrDeg = stats.LogMomentsHist(f.att.User.Counts())
 	m.AlphaAttrSocial = stats.FitPowerLawHist(f.att.Attr.Counts(), 1).Alpha
 	return m
-}
-
-// dayFolderState composes the accumulator snapshots.
-type dayFolderState struct {
-	soc, att, nc any
-}
-
-var _ metrics.Resumable = (*DayFolder)(nil)
-
-// Snapshot implements metrics.Resumable by composing the accumulator
-// snapshots — compact histogram state, not the evolving graphs.
-func (f *DayFolder) Snapshot() any {
-	return &dayFolderState{soc: f.soc.Snapshot(), att: f.att.Snapshot(), nc: f.nc.Snapshot()}
-}
-
-// Restore implements metrics.Resumable.
-func (f *DayFolder) Restore(state any) {
-	s, ok := state.(*dayFolderState)
-	if !ok {
-		panic(fmt.Sprintf("experiments: DayFolder.Restore on %T snapshot", state))
-	}
-	f.soc.Restore(s.soc)
-	f.att.Restore(s.att)
-	f.nc.Restore(s.nc)
 }

@@ -30,7 +30,6 @@ import (
 	"repro/internal/san"
 	"repro/internal/snapstore"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Config scales the experiments.  Scale is the gplus DailyBase (the
@@ -109,8 +108,7 @@ type DayMetrics struct {
 // constructors differ only in where the timelines come from:
 //
 //   - GetDataset packs them in memory from one instrumented gplus
-//     simulation, which also records the evolution trace (the batch
-//     path: sanbench and the golden figures).
+//     simulation (the batch path: sanbench and the golden figures).
 //   - NewTimelineDataset takes an injected pair (the serving path:
 //     sanserve mounts .tl files and answers figures without
 //     re-simulating).
@@ -120,12 +118,13 @@ type DayMetrics struct {
 type Dataset struct {
 	Cfg Config
 
-	mu       sync.Mutex
-	built    bool
-	buildErr any // panic value of a failed build, re-raised on every access
-	// pack, set by GetDataset only, produces the timeline pair and the
-	// trace; the first Build calls it.
-	pack func(Config) (full, view *snapstore.Timeline, tr *trace.Trace)
+	// pack, set by GetDataset only, produces the timeline pair; the
+	// build calls it first.
+	pack func(Config) (full, view *snapstore.Timeline, err error)
+
+	once sync.Once
+	done chan struct{} // closed when the build has finished
+	err  error         // the build's outcome, readable once done is closed
 
 	days      []DayMetrics
 	full      *snapstore.Timeline // packed daily full SANs (day d at index d-1)
@@ -133,65 +132,45 @@ type Dataset struct {
 	halfView  *san.SAN            // crawl view at day 49 (the halfway snapshot)
 	finalView *san.SAN            // crawl view at the last day
 	finalFull *san.SAN            // full SAN at the last day
-	tr        *trace.Trace        // GetDataset only
-
-	// fold is the resume state of a canceled build: the per-day
-	// records measured so far plus a compact accumulator snapshot.
-	fold *foldState
 }
 
-// foldState is the suspended measurement walk of a canceled Build: the
-// days measured so far, the next day index to measure, and a
-// metrics.Resumable snapshot of the fold accumulators.  A resumed
-// build restores the snapshot and Seeks the cursor to next — replaying
-// deltas to rebuild the evolving graphs, but re-measuring nothing.
-type foldState struct {
-	days []DayMetrics
-	next int
-	acc  any
-}
-
-// Build runs the backing work, honoring ctx: a canceled context makes
-// the fold stop at the next day boundary and return the context's
-// error, leaving the dataset resumable — a later Build (any context)
-// picks up where the canceled one stopped without re-measuring a
-// single day.  Obtaining the timelines (GetDataset's in-memory
-// simulation) does not poll ctx: it runs to completion once, inside
-// the first Build whose context is not already canceled.  Build
-// returns nil once the dataset is complete; accessors then read their
-// fields without further work.
-//
-// Builds are serialized: concurrent callers block until the running
-// build returns (finished or canceled), then the next caller resumes
-// it under its own context.  Panics (corrupt timeline day, packing
-// bug) are sticky and re-raised for every later call — otherwise
-// subsequent callers would silently read nil fields.
+// Build waits for the dataset's build, starting it on the first call.
+// The build runs once, on its own goroutine, to completion: ctx bounds
+// only this caller's wait, so a canceled caller gets ctx.Err() back at
+// once while the build keeps going for whoever asks next.  Once the
+// build has finished, every call returns its outcome — nil, or the
+// same error (a zero-day or corrupt timeline, a packing failure) for
+// the dataset's lifetime — and accessors read their fields without
+// further work.
 func (d *Dataset) Build(ctx context.Context) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.buildErr != nil {
-		panic(d.buildErr)
+	d.once.Do(func() {
+		d.done = make(chan struct{})
+		go d.build()
+	})
+	select {
+	case <-d.done:
+		return d.err
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	if d.built {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+}
+
+// build obtains the timelines and folds them, storing the outcome in
+// d.err.  A panic (a bug, not an input error) becomes that error too,
+// so no caller ever reads half-built fields.
+func (d *Dataset) build() {
+	defer close(d.done)
 	defer func() {
 		if v := recover(); v != nil {
-			d.buildErr = v
-			panic(v)
+			d.err = fmt.Errorf("experiments: dataset build panicked: %v", v)
 		}
 	}()
-	if d.full == nil {
-		d.full, d.view, d.tr = d.pack(d.Cfg)
+	if d.pack != nil {
+		if d.full, d.view, d.err = d.pack(d.Cfg); d.err != nil {
+			return
+		}
 	}
-	if err := measureTimelines(d, ctx); err != nil {
-		return err
-	}
-	d.built = true
-	return nil
+	d.err = measureTimelines(d)
 }
 
 // force completes the build for an accessor.  context.Background never
@@ -200,12 +179,6 @@ func (d *Dataset) force() {
 	if err := d.Build(context.Background()); err != nil {
 		panic(fmt.Sprintf("experiments: building dataset: %v", err))
 	}
-}
-
-// isCtxErr reports whether err is a context cancellation rather than a
-// build failure.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Days returns the per-day metric records (index i is day i+1).
@@ -228,12 +201,6 @@ func (d *Dataset) FinalView() *san.SAN { d.force(); return d.finalView }
 // last day.
 func (d *Dataset) FinalFull() *san.SAN { d.force(); return d.finalFull }
 
-// Trace returns the recorded evolution trace, or nil for
-// timeline-backed datasets (the packed format stores structure, not
-// event provenance; trace-based drivers fall back to a dedicated
-// recording run).
-func (d *Dataset) Trace() *trace.Trace { d.force(); return d.tr }
-
 var (
 	dsMu    sync.Mutex
 	dsCache = map[Config]*Dataset{}
@@ -255,25 +222,21 @@ func GetDataset(cfg Config) *Dataset {
 // simulateTimelines runs the instrumented gplus simulation for cfg
 // once and packs it in memory: the daily full-SAN and crawl-view
 // timelines (this reproduction's equivalent of the 79 daily crawl
-// files) plus the observed evolution trace Fig. 15 scores.
-func simulateTimelines(cfg Config) (full, view *snapstore.Timeline, tr *trace.Trace) {
+// files).
+func simulateTimelines(cfg Config) (full, view *snapstore.Timeline, err error) {
 	gcfg := gplus.DefaultConfig()
 	gcfg.DailyBase = cfg.Scale
 	gcfg.Seed = cfg.Seed
-	gcfg.Record = &trace.Trace{}
-	gcfg.RecordObserved = true
 	sim := gplus.New(gcfg)
 	if p := cfg.Progress; p != nil {
 		sim.Progress = p
 		p.AddTotalDays(gcfg.Days)
 	}
-	full, view, err := sim.RunTimelines(nil)
+	full, view, err = sim.RunTimelines(nil)
 	if err != nil {
-		// The simulator's evolution is append-only by construction, so
-		// a packing failure is a programming error, not an input error.
-		panic(fmt.Sprintf("experiments: packing timelines: %v", err))
+		return nil, nil, fmt.Errorf("experiments: packing timelines: %w", err)
 	}
-	return full, view, gcfg.Record
+	return full, view, nil
 }
 
 // NeedsDataset reports whether figure id forces a dataset build.
@@ -294,10 +257,10 @@ var modelOnly = map[string]bool{"16": true, "17": true, "18": true, "tc": true}
 // one evolving SAN per role, exact metrics from delta-updated
 // accumulators; nothing is ever re-simulated.
 //
-// Accessors panic if a day fails to decode or the timelines have no
-// days; callers serving untrusted files should validate the timelines
-// once up front (reconstruct the final day) before handing them to
-// drivers.
+// Build returns an error, and accessors panic, if a day fails to
+// decode or the timelines have no days; callers serving untrusted
+// files should validate the timelines once up front (reconstruct the
+// final day) before handing them to drivers.
 func NewTimelineDataset(cfg Config, full, view *snapstore.Timeline) *Dataset {
 	if view == nil {
 		view = full
@@ -329,17 +292,13 @@ func halfDay(numDays int) int {
 // streaming handler shares it).  Sampled estimators get a per-day rng,
 // so the measurement of a day does not depend on evaluation order.
 //
-// Cancellation is checked between days.  On ctx error the walk parks
-// its progress in ds.fold — measured days plus compact accumulator
-// snapshots, not the evolving graphs — and the next call re-opens a
-// cursor, Seeks past the measured prefix (replaying deltas without
-// visitor work) and restores the accumulators, so no day is ever
-// measured twice and the resumed walk is bitwise-identical to an
-// uninterrupted one.
-func measureTimelines(ds *Dataset, ctx context.Context) error {
+// The walk runs to completion: Build decouples it from its callers'
+// contexts, so it never stops partway.  A zero-day timeline or a day
+// that fails to decode is returned as the build's error.
+func measureTimelines(ds *Dataset) error {
 	numDays := ds.full.NumDays()
 	if numDays == 0 {
-		panic("experiments: timeline has no days")
+		return errors.New("experiments: timeline has no days")
 	}
 	half, last := halfDay(numDays), numDays-1
 	sameView := ds.view == ds.full
@@ -347,38 +306,24 @@ func measureTimelines(ds *Dataset, ctx context.Context) error {
 	if !sameView {
 		tls = append(tls, ds.view)
 	}
-
-	folder := NewDayFolder(ds.Cfg)
-	days := make([]DayMetrics, numDays)
-	next := 0
-	if st := ds.fold; st != nil {
-		days, next = st.days, st.next
-		folder.Restore(st.acc)
-	} else if ds.Cfg.Progress != nil {
-		ds.Cfg.Progress.AddTotalDays(numDays)
+	if p := ds.Cfg.Progress; p != nil {
+		p.AddTotalDays(numDays)
 	}
 
 	cur, err := snapstore.OpenCursorN(tls)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: folding timelines: %v", err))
+		return fmt.Errorf("experiments: folding timelines: %w", err)
 	}
 	defer cur.Close()
-	if next > 0 {
-		if err := cur.Seek(next); err != nil {
-			panic(fmt.Sprintf("experiments: resuming fold at day %d: %v", next, err))
-		}
-	}
+	folder := NewDayFolder(ds.Cfg)
+	days := make([]DayMetrics, numDays)
 	for {
-		day, gs, deltas, err := cur.Next(ctx)
+		day, gs, deltas, err := cur.Next(context.Background())
 		if err == snapstore.ErrDone {
 			break
 		}
 		if err != nil {
-			if isCtxErr(err) {
-				ds.fold = &foldState{days: days, next: next, acc: folder.Snapshot()}
-				return err
-			}
-			panic(fmt.Sprintf("experiments: folding timelines: %v", err))
+			return fmt.Errorf("experiments: folding timelines: %w", err)
 		}
 		full, fd := gs[0], deltas[0]
 		view, vd := full, fd
@@ -387,7 +332,6 @@ func measureTimelines(ds *Dataset, ctx context.Context) error {
 		}
 		folder.Feed(fd, vd)
 		days[day] = folder.Measure(day+1, full, view)
-		next = day + 1
 		if p := ds.Cfg.Progress; p != nil {
 			p.AddDays(1)
 			p.AddNodes(fd.NewSocial)
@@ -405,7 +349,7 @@ func measureTimelines(ds *Dataset, ctx context.Context) error {
 			ds.finalView, ds.finalFull = view, full
 		}
 	}
-	ds.days, ds.fold = days, nil
+	ds.days = days
 	return nil
 }
 

@@ -96,14 +96,10 @@ func eqNaN(a, b float64) bool {
 // TestTimelineDatasetMatchesSimulation is the one-build-path gate:
 // GetDataset and a timeline-backed dataset over the same packed
 // timelines must agree on every per-day record and on every registry
-// figure, bit for bit.  Figure 15 alone is exempt: it scores the
-// recorded evolution trace, which only GetDataset carries.
+// figure, bit for bit.
 func TestTimelineDatasetMatchesSimulation(t *testing.T) {
 	sim := GetDataset(qc())
 	tl := NewTimelineDataset(qc(), sim.FullTimeline(), sim.ViewTimeline())
-	if sim.Trace() == nil || tl.Trace() != nil {
-		t.Error("only the simulated dataset carries a trace")
-	}
 	simDays, tlDays := sim.Days(), tl.Days()
 	if len(tlDays) != len(simDays) {
 		t.Fatalf("timeline dataset measured %d days, sim dataset %d", len(tlDays), len(simDays))
@@ -120,9 +116,6 @@ func TestTimelineDatasetMatchesSimulation(t *testing.T) {
 		}
 	}
 	for _, id := range IDs() {
-		if id == "15" {
-			continue
-		}
 		fromSim, err := RunOn(id, sim)
 		if err != nil {
 			t.Fatal(err)

@@ -24,26 +24,34 @@ type modelSANs struct {
 }
 
 var (
-	modelMu        sync.Mutex
-	modelCache     = map[Config]*modelSANs{}
-	fullTraceMu    sync.Mutex
-	fullTraceCache = map[Config]*trace.Trace{}
+	modelMu    sync.Mutex
+	modelCache = map[Config]*modelSANs{}
+	traceMu    sync.Mutex
+	traceCache = map[traceRun]*trace.Trace{}
 )
 
-// getFullTrace runs a half-scale gplus simulation with full attribute
-// recording, for analyses that need the hidden attribute structure.
-func getFullTrace(cfg Config) *trace.Trace {
-	fullTraceMu.Lock()
-	defer fullTraceMu.Unlock()
-	if tr, ok := fullTraceCache[cfg]; ok {
+// traceRun names one trace-recording gplus simulation.
+type traceRun struct {
+	scale    int
+	seed     uint64
+	observed bool // record only declared attribute links
+}
+
+// recordTrace runs (once per traceRun) a gplus simulation that records
+// its evolution trace.
+func recordTrace(r traceRun) *trace.Trace {
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	if tr, ok := traceCache[r]; ok {
 		return tr
 	}
 	gcfg := gplus.DefaultConfig()
-	gcfg.DailyBase = cfg.Scale/2 + 1
-	gcfg.Seed = cfg.Seed + 1
+	gcfg.DailyBase = r.scale
+	gcfg.Seed = r.seed
 	gcfg.Record = &trace.Trace{}
+	gcfg.RecordObserved = r.observed
 	gplus.New(gcfg).Run(nil)
-	fullTraceCache[cfg] = gcfg.Record
+	traceCache[r] = gcfg.Record
 	return gcfg.Record
 }
 
@@ -82,13 +90,10 @@ func Fig15(d *Dataset) Figure {
 	papaBetas := []float64{0, 2, 4, 6, 8}
 	lapaBetas := []float64{0, 10, 100, 200, 500}
 
-	tr := d.Trace()
-	if tr == nil {
-		// Timeline-backed datasets carry no event trace (the packed
-		// format stores structure, not provenance); score the grids on
-		// the dedicated recording run instead.
-		tr = getFullTrace(d.Cfg)
-	}
+	// One trace, whatever the dataset's timeline source: the observed
+	// trace (declared attribute links only) of the simulation
+	// GetDataset packs for this config's scale and seed.
+	tr := recordTrace(traceRun{scale: d.Cfg.Scale, seed: d.Cfg.Seed, observed: true})
 	every := 1 + d.FinalFull().NumSocialEdges()/8000
 	resPAPA := likelihood.EvaluateAttachment(tr, alphas, papaBetas, every, 0)
 	resLAPA := likelihood.EvaluateAttachment(tr, alphas, lapaBetas, every, 0)
@@ -136,7 +141,7 @@ func Fig15(d *Dataset) Figure {
 // mask suppresses nearly every focal hop.  A dedicated full-recording
 // run at half scale provides the ground-truth trace.
 func ClosureCensus(d *Dataset) Figure {
-	tr := getFullTrace(d.Cfg)
+	tr := recordTrace(traceRun{scale: d.Cfg.Scale/2 + 1, seed: d.Cfg.Seed + 1})
 	var edges int
 	for _, e := range tr.Events {
 		if e.Kind == trace.FirstLink || e.Kind == trace.TriangleLink || e.Kind == trace.ReciprocalLink {

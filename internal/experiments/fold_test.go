@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/metrics"
@@ -114,112 +115,80 @@ func TestFoldMatchesRecompute(t *testing.T) {
 	}
 }
 
-// countdownCtx cancels itself after a fixed number of Err checks —
-// a deterministic stand-in for a client disconnecting mid-build.
-// Build polls Err once on entry and the cursor once per day, so the
-// countdown positions the cancellation at an exact day boundary.
-type countdownCtx struct {
-	context.Context
-	checks int
-}
-
-func (c *countdownCtx) Err() error {
-	if c.checks <= 0 {
-		return context.Canceled
-	}
-	c.checks--
-	return nil
-}
-
-// TestDatasetBuildResume is the resumability gate for both timeline
-// sources: cancel a build mid-fold (several times, at different
-// days), resume it to completion, and require the result to be
-// bitwise-identical to an uninterrupted twin.  The Progress day count
-// additionally proves no day was ever measured twice.
+// TestDatasetBuildResume pins the cancellation contract for both
+// timeline sources: a caller whose context is canceled gets
+// context.Canceled back at once, while the build it started runs on
+// to completion exactly once for the concurrent callers that follow —
+// the Progress day count proves no day was folded (or simulated)
+// twice — and ends bitwise-identical to an uncanceled twin.
 func TestDatasetBuildResume(t *testing.T) {
 	cfg := goldenConfig()
 	control := GetDataset(cfg)
 	wantDays := control.Days()
-
-	t.Run("timeline", func(t *testing.T) {
-		prog := &obs.Progress{}
-		rcfg := cfg
-		rcfg.Progress = prog
-		ds := NewTimelineDataset(rcfg, control.FullTimeline(), control.ViewTimeline())
-		cancels := 0
-		for _, checks := range []int{3, 11, 1} {
-			err := ds.Build(&countdownCtx{Context: context.Background(), checks: checks})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("Build with countdown %d: %v, want context.Canceled", checks, err)
+	n := int64(len(wantDays))
+	for _, tc := range []struct {
+		name     string
+		dataset  func(Config) *Dataset
+		progress int64 // days reported: folded, plus simulated for sim
+	}{
+		{"timeline", func(c Config) *Dataset {
+			return NewTimelineDataset(c, control.FullTimeline(), control.ViewTimeline())
+		}, n},
+		// A private handle (not GetDataset) so the shared cache is not
+		// involved.
+		{"sim", func(c Config) *Dataset { return &Dataset{Cfg: c, pack: simulateTimelines} }, 2 * n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := &obs.Progress{}
+			rcfg := cfg
+			rcfg.Progress = prog
+			ds := tc.dataset(rcfg)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := ds.Build(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Build with a canceled context: %v, want context.Canceled", err)
 			}
-			cancels++
-		}
-		if err := ds.Build(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		got := ds.Days()
-		if len(got) != len(wantDays) {
-			t.Fatalf("resumed build measured %d days, want %d", len(got), len(wantDays))
-		}
-		for i := range got {
-			if err := sameDayMetrics(got[i], wantDays[i]); err != nil {
-				t.Fatalf("day %d: resumed build diverges: %v", i+1, err)
+			var wg sync.WaitGroup
+			errs := make([]error, 4)
+			for i := range errs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = ds.Build(context.Background())
+				}()
 			}
-		}
-		if n := prog.Days(); n != int64(len(wantDays)) {
-			t.Errorf("progress counted %d folded days over %d cancels, want %d (no day re-measured)",
-				n, cancels, len(wantDays))
-		}
-		if ds.HalfView().Stats() != control.HalfView().Stats() {
-			t.Errorf("halfway views diverge: %+v vs %+v", ds.HalfView().Stats(), control.HalfView().Stats())
-		}
-		if ds.FinalFull().Stats() != control.FinalFull().Stats() {
-			t.Errorf("final full SANs diverge: %+v vs %+v", ds.FinalFull().Stats(), control.FinalFull().Stats())
-		}
-	})
-
-	t.Run("sim", func(t *testing.T) {
-		// A private handle (not GetDataset) so the shared cache never
-		// holds a half-built dataset.
-		prog := &obs.Progress{}
-		rcfg := cfg
-		rcfg.Progress = prog
-		ds := &Dataset{Cfg: rcfg, pack: simulateTimelines}
-		// The in-memory pack does not poll ctx, so every cancel lands in
-		// the fold: the first Build packs the timelines and stops four
-		// days into measuring them.
-		for _, checks := range []int{5, 40, 1} {
-			err := ds.Build(&countdownCtx{Context: context.Background(), checks: checks})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("Build with countdown %d: %v, want context.Canceled", checks, err)
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-			if ds.full == nil || ds.fold == nil {
-				t.Fatalf("cancel with countdown %d did not land in the fold", checks)
+			got := ds.Days()
+			if len(got) != len(wantDays) {
+				t.Fatalf("build measured %d days, want %d", len(got), len(wantDays))
 			}
-		}
-		if err := ds.Build(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		got := ds.Days()
-		if len(got) != len(wantDays) {
-			t.Fatalf("resumed sim build measured %d days, want %d", len(got), len(wantDays))
-		}
-		for i := range got {
-			if err := sameDayMetrics(got[i], wantDays[i]); err != nil {
-				t.Fatalf("day %d: resumed sim build diverges: %v", i+1, err)
+			for i := range got {
+				if err := sameDayMetrics(got[i], wantDays[i]); err != nil {
+					t.Fatalf("day %d: build diverges from the control: %v", i+1, err)
+				}
 			}
-		}
-		if n := prog.Days(); n != 2*int64(len(wantDays)) {
-			t.Errorf("progress counted %d days, want %d (each day simulated once and folded once)",
-				n, 2*len(wantDays))
-		}
-		if ds.HalfView().Stats() != control.HalfView().Stats() {
-			t.Errorf("halfway views diverge: %+v vs %+v", ds.HalfView().Stats(), control.HalfView().Stats())
-		}
-		if ds.FinalFull().Stats() != control.FinalFull().Stats() {
-			t.Errorf("final full SANs diverge: %+v vs %+v", ds.FinalFull().Stats(), control.FinalFull().Stats())
-		}
-	})
+			if got := prog.Days(); got != tc.progress {
+				t.Errorf("progress counted %d days, want %d (one build, every day once)", got, tc.progress)
+			}
+			for _, snap := range []struct {
+				name      string
+				got, want *san.SAN
+			}{
+				{"halfway view", ds.HalfView(), control.HalfView()},
+				{"final view", ds.FinalView(), control.FinalView()},
+				{"final full SAN", ds.FinalFull(), control.FinalFull()},
+			} {
+				if !bytes.Equal(snapstore.EncodeSnapshot(snap.got), snapstore.EncodeSnapshot(snap.want)) {
+					t.Errorf("%s differs from the control", snap.name)
+				}
+			}
+		})
+	}
 }
 
 // TestRecomputeDatasetMatchesFold checks the snapshots the fold
@@ -253,13 +222,17 @@ func TestRecomputeDatasetMatchesFold(t *testing.T) {
 	}
 }
 
-// TestEmptyTimelineDatasetPanics pins the zero-day outcome: the build
-// fails with one named panic instead of leaving nil snapshots for the
-// figure drivers to dereference.
+// TestEmptyTimelineDatasetPanics pins the zero-day outcome: Build
+// returns one named error instead of leaving nil snapshots for the
+// figure drivers to dereference, and every accessor panics with it.
 func TestEmptyTimelineDatasetPanics(t *testing.T) {
-	const want = "experiments: timeline has no days"
+	const msg = "experiments: timeline has no days"
 	empty := snapstore.NewLive().Timeline()
 	ds := NewTimelineDataset(goldenConfig(), empty, nil)
+	if err := ds.Build(context.Background()); err == nil || err.Error() != msg {
+		t.Fatalf("Build: %v, want %q", err, msg)
+	}
+	want := "experiments: building dataset: " + msg
 	for _, access := range []func(){func() { ds.Days() }, func() { ds.HalfView() }} {
 		func() {
 			defer func() {
@@ -269,6 +242,49 @@ func TestEmptyTimelineDatasetPanics(t *testing.T) {
 			}()
 			access()
 		}()
+	}
+}
+
+// corruptDay returns a copy of tl whose day record (0-based) has one
+// bit of its tag byte flipped, so the copy loads but that day fails to
+// decode.
+func corruptDay(t *testing.T, tl *snapstore.Timeline, day int) *snapstore.Timeline {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tl.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	off := len(b)
+	for i := day; i < tl.NumDays(); i++ {
+		off -= tl.DaySize(i)
+	}
+	b[off] ^= 1
+	bad, err := snapstore.ReadTimeline(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bad
+}
+
+// TestCorruptDayBuildError pins the error path of the fold: a day
+// record that fails to decode makes Build return an error naming that
+// day — the same error on every later call — and no panic escapes.
+func TestCorruptDayBuildError(t *testing.T) {
+	control := GetDataset(goldenConfig())
+	const day = 5
+	ds := NewTimelineDataset(goldenConfig(), corruptDay(t, control.FullTimeline(), day), control.ViewTimeline())
+	defer func() {
+		if v := recover(); v != nil {
+			t.Fatalf("Build panicked: %v", v)
+		}
+	}()
+	err := ds.Build(context.Background())
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("day %d:", day)) {
+		t.Fatalf("Build: %v, want an error naming day %d", err, day)
+	}
+	if again := ds.Build(context.Background()); again != err {
+		t.Errorf("second Build: %v, want the same error %v", again, err)
 	}
 }
 

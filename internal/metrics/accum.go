@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math/rand/v2"
 
 	"repro/internal/san"
@@ -15,28 +14,6 @@ import (
 // exactly the values its batch counterpart computes on the same graph
 // (the histograms feed stats.LogMomentsHist / stats.FitPowerLawHist,
 // whose summation order matches the batch entry points bitwise).
-
-// Resumable is implemented by the fold accumulators: Snapshot captures
-// the accumulator's full state mid-walk as an opaque value, and Restore
-// rewinds the accumulator to a snapshot.  A canceled fold snapshots its
-// accumulators at the abandoned day and a later resume restores them,
-// so no day is ever re-fed — the restored accumulator continues the
-// walk bitwise as if it had never stopped.
-//
-// Snapshots are deep copies: mutating the accumulator after Snapshot
-// never corrupts the captured state, and one snapshot may be restored
-// any number of times.  Restore panics on a snapshot taken from a
-// different accumulator type.
-type Resumable interface {
-	Snapshot() any
-	Restore(state any)
-}
-
-var (
-	_ Resumable = (*SocialDegreeAccum)(nil)
-	_ Resumable = (*AttrDegreeAccum)(nil)
-	_ Resumable = (*NeighborCache)(nil)
-)
 
 // DegreeHist is an exact integer histogram of node degrees: Counts()[k]
 // is the number of nodes currently at degree k.  The zero value is an
@@ -98,35 +75,6 @@ func (a *SocialDegreeAccum) AddEdge(u, v san.NodeID) {
 	a.in[v]++
 }
 
-// socialDegreeState is the deep-copied Snapshot form of a
-// SocialDegreeAccum.
-type socialDegreeState struct {
-	out, in         []int32
-	outHist, inHist []int
-}
-
-// Snapshot implements Resumable.
-func (a *SocialDegreeAccum) Snapshot() any {
-	return &socialDegreeState{
-		out:     append([]int32(nil), a.out...),
-		in:      append([]int32(nil), a.in...),
-		outHist: append([]int(nil), a.Out.counts...),
-		inHist:  append([]int(nil), a.In.counts...),
-	}
-}
-
-// Restore implements Resumable.
-func (a *SocialDegreeAccum) Restore(state any) {
-	s, ok := state.(*socialDegreeState)
-	if !ok {
-		panic(fmt.Sprintf("metrics: SocialDegreeAccum.Restore on %T snapshot", state))
-	}
-	a.out = append(a.out[:0], s.out...)
-	a.in = append(a.in[:0], s.in...)
-	a.Out.counts = append(a.Out.counts[:0], s.outHist...)
-	a.In.counts = append(a.In.counts[:0], s.inHist...)
-}
-
 // AttrDegreeAccum folds attribute-link growth into the two attribute
 // degree histograms of §4.1: User counts attributes per social node
 // (AttrDegrees) and Attr counts members per attribute node
@@ -164,35 +112,6 @@ func (a *AttrDegreeAccum) AddLink(u san.NodeID, at san.AttrID) {
 	a.userDeg[u]++
 	a.Attr.Move(int(a.memberDeg[at]), int(a.memberDeg[at])+1)
 	a.memberDeg[at]++
-}
-
-// attrDegreeState is the deep-copied Snapshot form of an
-// AttrDegreeAccum.
-type attrDegreeState struct {
-	userDeg, memberDeg []int32
-	userHist, attrHist []int
-}
-
-// Snapshot implements Resumable.
-func (a *AttrDegreeAccum) Snapshot() any {
-	return &attrDegreeState{
-		userDeg:   append([]int32(nil), a.userDeg...),
-		memberDeg: append([]int32(nil), a.memberDeg...),
-		userHist:  append([]int(nil), a.User.counts...),
-		attrHist:  append([]int(nil), a.Attr.counts...),
-	}
-}
-
-// Restore implements Resumable.
-func (a *AttrDegreeAccum) Restore(state any) {
-	s, ok := state.(*attrDegreeState)
-	if !ok {
-		panic(fmt.Sprintf("metrics: AttrDegreeAccum.Restore on %T snapshot", state))
-	}
-	a.userDeg = append(a.userDeg[:0], s.userDeg...)
-	a.memberDeg = append(a.memberDeg[:0], s.memberDeg...)
-	a.User.counts = append(a.User.counts[:0], s.userHist...)
-	a.Attr.counts = append(a.Attr.counts[:0], s.attrHist...)
 }
 
 // NeighborCache memoizes SocialNeighbors lists across the days of a
@@ -233,34 +152,6 @@ func (c *NeighborCache) Neighbors(g *san.SAN, u san.NodeID) []san.NodeID {
 		c.valid[u] = true
 	}
 	return c.lists[u]
-}
-
-// neighborCacheState is the Snapshot form of a NeighborCache.  The
-// outer slices are copied; the cached neighbor lists themselves are
-// shared, which is safe because a list is immutable once built —
-// Invalidate only clears the valid bit, and a rebuild replaces the
-// slice wholesale.
-type neighborCacheState struct {
-	lists [][]san.NodeID
-	valid []bool
-}
-
-// Snapshot implements Resumable.
-func (c *NeighborCache) Snapshot() any {
-	return &neighborCacheState{
-		lists: append([][]san.NodeID(nil), c.lists...),
-		valid: append([]bool(nil), c.valid...),
-	}
-}
-
-// Restore implements Resumable.
-func (c *NeighborCache) Restore(state any) {
-	s, ok := state.(*neighborCacheState)
-	if !ok {
-		panic(fmt.Sprintf("metrics: NeighborCache.Restore on %T snapshot", state))
-	}
-	c.lists = append(c.lists[:0], s.lists...)
-	c.valid = append(c.valid[:0], s.valid...)
 }
 
 // AverageSocialClustering is the Algorithm 2 estimator of §3.4 driven

@@ -112,104 +112,6 @@ func TestNeighborCacheClusteringParity(t *testing.T) {
 	}
 }
 
-// TestAccumulatorsSnapshotRestore pins the Resumable contract: feed a
-// prefix, snapshot, diverge the original with more growth, restore
-// the snapshot into the same accumulators, replay the suffix — the
-// result must match a control run that never stopped, and the
-// snapshot must be reusable (deep copy, restore twice).
-func TestAccumulatorsSnapshotRestore(t *testing.T) {
-	type event struct {
-		u, v san.NodeID
-	}
-	rng := rand.New(rand.NewPCG(7, 8))
-	const nodes, prefix, total = 60, 120, 300
-	events := make([]event, total)
-	for i := range events {
-		events[i] = event{san.NodeID(rng.IntN(nodes)), san.NodeID(rng.IntN(nodes))}
-	}
-	g := san.New(0, 0, 0)
-	g.AddSocialNodes(nodes)
-
-	feed := func(soc *SocialDegreeAccum, att *AttrDegreeAccum, nc *NeighborCache, evs []event) {
-		for _, e := range evs {
-			soc.AddEdge(e.u, e.v)
-			nc.Invalidate(e.u)
-			nc.Invalidate(e.v)
-			att.AddLink(e.u, san.AttrID(int(e.v)%3))
-		}
-	}
-	newTrio := func() (*SocialDegreeAccum, *AttrDegreeAccum, *NeighborCache) {
-		soc, att, nc := NewSocialDegreeAccum(), NewAttrDegreeAccum(), NewNeighborCache()
-		soc.AddNodes(nodes)
-		att.AddUsers(nodes)
-		att.AddAttrs(3)
-		nc.AddNodes(nodes)
-		return soc, att, nc
-	}
-
-	// Control: one uninterrupted run.
-	cSoc, cAtt, cNc := newTrio()
-	feed(cSoc, cAtt, cNc, events)
-
-	// Interrupted run: prefix, snapshot, diverge, restore, suffix.
-	soc, att, nc := newTrio()
-	feed(soc, att, nc, events[:prefix])
-	nc.Neighbors(g, 0) // populate a cached list so the snapshot carries one
-	socSnap, attSnap, ncSnap := soc.Snapshot(), att.Snapshot(), nc.Snapshot()
-	feed(soc, att, nc, events[prefix:prefix+50]) // divergence to be rolled back
-	for range []int{0, 1} {                      // restore twice: snapshots must survive reuse
-		soc.Restore(socSnap)
-		att.Restore(attSnap)
-		nc.Restore(ncSnap)
-	}
-	feed(soc, att, nc, events[prefix:])
-
-	sameInts := func(name string, got, want []int) {
-		t.Helper()
-		for k := 0; k < len(got) || k < len(want); k++ {
-			g, w := 0, 0
-			if k < len(got) {
-				g = got[k]
-			}
-			if k < len(want) {
-				w = want[k]
-			}
-			if g != w {
-				t.Fatalf("%s: hist[%d] = %d, want %d", name, k, g, w)
-			}
-		}
-	}
-	sameInts("out", soc.Out.Counts(), cSoc.Out.Counts())
-	sameInts("in", soc.In.Counts(), cSoc.In.Counts())
-	sameInts("user", att.User.Counts(), cAtt.User.Counts())
-	sameInts("attr", att.Attr.Counts(), cAtt.Attr.Counts())
-	for u := 0; u < nodes; u++ {
-		got := nc.Neighbors(g, san.NodeID(u))
-		want := cNc.Neighbors(g, san.NodeID(u))
-		if len(got) != len(want) {
-			t.Fatalf("neighbors(%d): %v vs control %v", u, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("neighbors(%d)[%d]: %v vs control %v", u, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestRestoreWrongTypePanics documents that a snapshot only restores
-// into its own accumulator type.
-func TestRestoreWrongTypePanics(t *testing.T) {
-	soc := NewSocialDegreeAccum()
-	att := NewAttrDegreeAccum()
-	defer func() {
-		if recover() == nil {
-			t.Error("Restore with a foreign snapshot should panic")
-		}
-	}()
-	att.Restore(soc.Snapshot())
-}
-
 // TestNeighborCacheStaleWithoutInvalidate documents the contract: a
 // missing Invalidate serves stale lists, so the fold must invalidate
 // both endpoints of every new edge.

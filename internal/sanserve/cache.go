@@ -78,8 +78,8 @@ func newResultCache(max int) *resultCache {
 // computation keeps running for the remaining waiters.  The compute
 // callback observes its own caller's context (threaded through the
 // closure); a canceled compute returns its error uncached, so the next
-// request retries — and resumable dataset builds pick up where the
-// canceled one stopped.
+// request retries — and waits on the dataset build the canceled one
+// left running.
 func (c *resultCache) do(ctx context.Context, key cacheKey, gate *obs.Gate, compute func() ([]byte, string, error)) (data []byte, ctype string, err error, hit bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -107,8 +107,8 @@ func (c *resultCache) do(ctx context.Context, key cacheKey, gate *obs.Gate, comp
 		defer gate.Release()
 	}
 
-	// If compute panics (e.g. a decode failure deep in a lazily-built
-	// dataset), waiters must still be released and the entry dropped,
+	// If compute panics (a figure driver bug), waiters must still be
+	// released and the entry dropped,
 	// or every later request for this key would block forever.
 	defer func() {
 		if v := recover(); v != nil {

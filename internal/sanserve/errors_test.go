@@ -1,9 +1,13 @@
 package sanserve
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/snapstore"
 )
 
 // TestHandlerErrorBodies is the error-path contract of every handler:
@@ -64,5 +68,46 @@ func TestHandlerErrorBodies(t *testing.T) {
 	// None of the failures may have occupied a result-cache slot.
 	if n := s.cache.Len(); n != 0 {
 		t.Errorf("error responses occupy %d cache slots", n)
+	}
+}
+
+// TestCorruptDayFigureError pins the build-failure path end to end: a
+// mount whose full timeline has one bit-flipped day record (inserted
+// directly, past Mount's validation) answers a dataset figure with a
+// 500 naming that day, counted as a figure error rather than a
+// recovered panic.
+func TestCorruptDayFigureError(t *testing.T) {
+	s := newTestServer(t, Options{})
+	full, view := testTimelines(t)
+	const day = 5
+	var buf bytes.Buffer
+	if _, err := full.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	off := len(b)
+	for i := day; i < full.NumDays(); i++ {
+		off -= full.DaySize(i)
+	}
+	b[off] ^= 1 // the day record's tag byte
+	bad, err := snapstore.ReadTimeline(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.mounts["bad"] = &Mount{Name: "bad", Full: bad, View: view, gen: s.mountGen.Add(1),
+		ds: experiments.NewTimelineDataset(s.opts.Cfg, bad, view)}
+	s.mu.Unlock()
+
+	errsBefore, panicsBefore := s.met.figureErrors.Load(), s.met.panics.Load()
+	rec := get(t, s.Handler(), "/v1/figures/2?timeline=bad")
+	if rec.Code != 500 || !strings.Contains(rec.Body.String(), "day 5:") {
+		t.Fatalf("corrupt mount: %d %s, want 500 naming day 5", rec.Code, rec.Body.String())
+	}
+	if got := s.met.figureErrors.Load(); got != errsBefore+1 {
+		t.Errorf("figure errors %d -> %d, want one more", errsBefore, got)
+	}
+	if got := s.met.panics.Load(); got != panicsBefore {
+		t.Errorf("build failure counted as %d recovered panics", got-panicsBefore)
 	}
 }

@@ -606,10 +606,10 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 // single-flight de-duplication, so a comparison warms the per-scenario
 // cache and vice versa.
 //
-// ctx is the requesting client's: a disconnect mid-build cancels the
-// dataset walk at the next day boundary, releasing the admission-gate
-// slot.  The canceled build stays resumable — the next request for any
-// figure on this mount continues it instead of starting over.
+// ctx is the requesting client's: a disconnect mid-build ends this
+// request's wait, releasing the admission-gate slot, while the
+// mount's one dataset build runs on to completion for the next
+// request.
 func (s *Server) figureResult(ctx context.Context, m *Mount, id string, lo, hi int, format string) ([]byte, string, error, bool) {
 	// A range spanning the whole timeline is the same query as no
 	// range at all; normalizing here keeps the clipping behavior fully
@@ -619,8 +619,8 @@ func (s *Server) figureResult(ctx context.Context, m *Mount, id string, lo, hi i
 
 	key := cacheKey{timeline: m.Name, gen: m.gen, figure: id, lo: lo, hi: hi, format: format}
 	data, ctype, err, hit := s.cache.do(ctx, key, s.gate, func() ([]byte, string, error) {
-		// Only figures that read the measured dataset pay for (and can
-		// cancel) the build; model-only figures never touch it.
+		// Only figures that read the measured dataset wait for the
+		// build; model-only figures never touch it.
 		if experiments.NeedsDataset(id) {
 			if err := m.ds.Build(ctx); err != nil {
 				return nil, "", err
@@ -677,7 +677,7 @@ const statusClientClosedRequest = 499
 // Shed responses (429) get the Retry-After hint and are not counted
 // as figure errors — admission control working as intended is not a
 // failure — and neither is a context cancellation (the client hung
-// up; the build it may have interrupted resumes on the next request);
+// up; the build it was waiting on keeps running for the next request);
 // everything else increments sanserve_figure_errors_total.
 func (s *Server) writeFigureError(w http.ResponseWriter, err error, msg string) {
 	code := http.StatusInternalServerError
