@@ -1,11 +1,14 @@
 #!/bin/sh
 # streamapi: end-to-end smoke of the /v1/stream evolution API over a
-# real socket.  Packs a quick 98-day timeline, starts sanserve, and
-# asserts (1) a full NDJSON stream serves one row per day plus a
-# terminal done record with the right row count, (2) killing the
-# client mid-stream is noticed by the server and counted in
-# sanserve_streams_canceled_total, and (3) the streaming load
-# generator (-loadgen -stream) reports a rows/s figure.
+# real socket.  Packs a quick 98-day timeline pair (full SAN plus the
+# -observed crawl view), starts sanserve on the pair, and asserts
+# (1) a full NDJSON stream serves one row per day plus a terminal done
+# record with the right row count, (2) a from=20&to=75 walk is exactly
+# lines 20-75 of the full walk plus {"done":true,"rows":56}, (3) the
+# summaries-only walk is the metrics walk with each row's "metrics"
+# object stripped, (4) killing the client mid-stream is noticed by the
+# server and counted in sanserve_streams_canceled_total, and (5) the
+# streaming load generator (-loadgen -stream) reports a rows/s figure.
 #
 # Run from the repository root: sh ci/streamapi.sh
 set -eu
@@ -27,12 +30,13 @@ fail() {
   exit 1
 }
 
-echo "streamapi: packing a scale-$SCALE timeline"
+echo "streamapi: packing a scale-$SCALE timeline pair"
 go run ./cmd/sanstore pack -out "$tmp/gplus.tl" -scale "$SCALE" -seed 7 >/dev/null
+go run ./cmd/sanstore pack -out "$tmp/view.tl" -scale "$SCALE" -seed 7 -observed >/dev/null
 
 echo "streamapi: building and starting sanserve on :$PORT"
 go build -o "$tmp/sanserve" ./cmd/sanserve
-"$tmp/sanserve" -mount "gplus=$tmp/gplus.tl" -addr "127.0.0.1:$PORT" >"$tmp/srv.log" 2>&1 &
+"$tmp/sanserve" -mount "gplus=$tmp/gplus.tl,$tmp/view.tl" -addr "127.0.0.1:$PORT" >"$tmp/srv.log" 2>&1 &
 SRV_PID=$!
 
 i=0
@@ -51,6 +55,15 @@ rows=$(grep -c '^{"day"' "$tmp/stream.ndjson" || true)
 [ "$rows" = "$DAYS" ] || fail "streamed $rows rows, want $DAYS"
 grep -q "\"done\":true,\"rows\":$DAYS" "$tmp/stream.ndjson" || fail "terminal done record missing or wrong row count"
 grep -q '"metrics":{.*"cc":' "$tmp/stream.ndjson" || fail "rows carry no folded cc metric"
+
+echo "streamapi: checking a ranged walk and the summaries-only walk against the full walk"
+curl -fsSN "$BASE/v1/stream/gplus" >"$tmp/summaries.ndjson"
+curl -fsSN "$BASE/v1/stream/gplus?from=20&to=75" >"$tmp/ranged.ndjson"
+{ sed -n '20,75p' "$tmp/summaries.ndjson"; echo '{"done":true,"rows":56}'; } >"$tmp/ranged.want"
+cmp -s "$tmp/ranged.ndjson" "$tmp/ranged.want" || fail "from=20&to=75 walk is not lines 20-75 of the full walk plus done"
+# A heartbeat can land while the metrics walk waits on the mount's build.
+sed -e '/"heartbeat":true/d' -e 's/,"metrics":{[^}]*}//' "$tmp/stream.ndjson" >"$tmp/stripped.ndjson"
+cmp -s "$tmp/summaries.ndjson" "$tmp/stripped.ndjson" || fail "summaries-only walk differs from the metrics walk with metrics stripped"
 
 echo "streamapi: killing a client mid-stream (paced walk)"
 curl -fsSN "$BASE/v1/stream/gplus?pace=200" >"$tmp/partial.ndjson" 2>/dev/null &

@@ -10,9 +10,9 @@ import (
 // DayFolder packages the per-day step of the incremental measurement
 // walk: exact accumulators advanced from each day's Delta plus the
 // sampled estimators run against the day's graph.  The batch fold
-// (measureTimelines) and sanserve's /v1/stream handler share it,
-// which is what makes streamed per-day metrics bitwise-identical to
-// the batch figure values for the same day.
+// (measureTimelines) and sanserve's live /v1/stream walk share it,
+// which is what makes live-streamed per-day metrics bitwise-identical
+// to the batch figure values for the same day.
 //
 // Feed and Measure are split so a consumer interested in a day range
 // can advance cheaply through the prefix: Feed costs O(new structure)

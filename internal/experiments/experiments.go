@@ -259,8 +259,8 @@ var modelOnly = map[string]bool{"16": true, "17": true, "18": true, "tc": true}
 //
 // Build returns an error, and accessors panic, if a day fails to
 // decode or the timelines have no days; callers serving untrusted
-// files should validate the timelines once up front (reconstruct the
-// final day) before handing them to drivers.
+// files should validate the timelines once up front (decode every
+// day) before handing them to drivers.
 func NewTimelineDataset(cfg Config, full, view *snapstore.Timeline) *Dataset {
 	if view == nil {
 		view = full
@@ -289,7 +289,7 @@ func halfDay(numDays int) int {
 // (clustering, assortativity, diameters) still run against the day's
 // graph — with the clustering estimator served by a delta-invalidated
 // neighbor cache (DayFolder packages the per-day step; sanserve's
-// streaming handler shares it).  Sampled estimators get a per-day rng,
+// live streams share it).  Sampled estimators get a per-day rng,
 // so the measurement of a day does not depend on evaluation order.
 //
 // The walk runs to completion: Build decouples it from its callers'

@@ -164,7 +164,7 @@ func LoadGenPaths(h http.Handler, paths []string, concurrency int, d time.Durati
 
 // StreamLoadReport summarizes a streaming load-generation run: full
 // /v1/stream walks per worker, measured in rows per second (the
-// number benchdiff gates cursor overhead with).
+// number benchdiff gates per-row overhead with).
 type StreamLoadReport struct {
 	Path        string
 	Concurrency int
@@ -191,7 +191,7 @@ func (r StreamLoadReport) String() string {
 // for roughly the given duration: each worker runs complete NDJSON
 // walks back to back and counts the day rows it received.  Like
 // LoadGen, requests are dispatched in-process, so the number measures
-// the cursor walk + per-row encoding, not socket throughput.
+// the walk + per-row encoding, not socket throughput.
 func LoadGenStream(h http.Handler, path string, concurrency int, d time.Duration) StreamLoadReport {
 	if concurrency < 1 {
 		concurrency = 1

@@ -172,6 +172,7 @@ type Mount struct {
 	gen    uint64
 	digest string
 
+	rows      []StreamRecord // each day's /v1/stream summary, from recordDays
 	ds        *experiments.Dataset
 	fullStore *snapstore.Store
 	viewStore *snapstore.Store
@@ -251,9 +252,9 @@ func New(opts Options) *Server {
 }
 
 // Mount adds a timeline pair under name.  view may be nil to serve
-// full in both roles.  Both timelines are validated by reconstructing
-// their final day (which decodes every delta), so corrupt files are
-// rejected here instead of failing mid-request.
+// full in both roles.  Both timelines are validated by a walk that
+// decodes every delta, so corrupt files are rejected here instead of
+// failing mid-request.
 func (s *Server) Mount(name string, full, view *snapstore.Timeline) error {
 	return s.mount(name, full, view, nil)
 }
@@ -274,9 +275,9 @@ func (s *Server) mount(name string, full, view *snapstore.Timeline, run *scenari
 	return nil
 }
 
-// buildMount does all the expensive mount work — validation by final-
-// day reconstruction (which decodes every delta, so corrupt files are
-// rejected here instead of failing mid-request), dataset and store
+// buildMount does all the expensive mount work — validation by
+// recordDays (which decodes every delta, so corrupt files are rejected
+// here instead of failing mid-request), dataset and store
 // construction — WITHOUT taking any server lock.  The returned *Mount
 // is immutable and carries a fresh cache generation; callers insert
 // it into the table under a brief s.mu.Lock (mount, swap in
@@ -296,13 +297,9 @@ func (s *Server) buildMount(name string, full, view *snapstore.Timeline, run *sc
 		return nil, fmt.Errorf("sanserve: mount %q: full has %d days but view has %d",
 			name, full.NumDays(), view.NumDays())
 	}
-	if _, err := full.ReconstructAt(full.NumDays() - 1); err != nil {
-		return nil, fmt.Errorf("sanserve: mount %q: full timeline: %w", name, err)
-	}
-	if view != full {
-		if _, err := view.ReconstructAt(view.NumDays() - 1); err != nil {
-			return nil, fmt.Errorf("sanserve: mount %q: view timeline: %w", name, err)
-		}
+	rows, err := recordDays(full, view)
+	if err != nil {
+		return nil, fmt.Errorf("sanserve: mount %q: %w", name, err)
 	}
 	m := &Mount{
 		Name:      name,
@@ -310,6 +307,7 @@ func (s *Server) buildMount(name string, full, view *snapstore.Timeline, run *sc
 		View:      view,
 		Run:       run,
 		gen:       s.mountGen.Add(1),
+		rows:      rows,
 		ds:        experiments.NewTimelineDataset(s.opts.Cfg, full, view),
 		fullStore: snapstore.NewStore(full, s.opts.SnapCacheDays),
 		viewStore: snapstore.NewStore(view, s.opts.SnapCacheDays),
@@ -319,6 +317,37 @@ func (s *Server) buildMount(name string, full, view *snapstore.Timeline, run *sc
 	}
 	sp.End()
 	return m, nil
+}
+
+// recordDays walks full, then view unless it is full, through a
+// cursor that decodes every delta, and returns each day's stream
+// summary.  A decode error names the timeline's role.
+func recordDays(full, view *snapstore.Timeline) ([]StreamRecord, error) {
+	rows := make([]StreamRecord, full.NumDays())
+	for i, tl := range []*snapstore.Timeline{full, view} {
+		if i > 0 && tl == full {
+			break
+		}
+		cur, err := snapstore.OpenCursorN([]*snapstore.Timeline{tl})
+		if err != nil {
+			return nil, err
+		}
+		for {
+			day, gs, ds, err := cur.Next(context.Background())
+			if err == snapstore.ErrDone {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%s timeline: %w", [...]string{"full", "view"}[i], err)
+			}
+			fr := rows[day]
+			rows[day] = dayRecord(day+1, ds[0], gs[0])
+			if i > 0 { // the view walk keeps the full delta's growth counts
+				rows[day].NewNodes, rows[day].NewSocialLinks = fr.NewNodes, fr.NewSocialLinks
+			}
+		}
+	}
+	return rows, nil
 }
 
 // MountFiles loads and mounts timeline files from disk.

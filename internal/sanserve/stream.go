@@ -14,32 +14,31 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/san"
 	"repro/internal/snapstore"
 )
 
 // This file is the streaming workload: GET /v1/stream/{timeline}
-// walks a mounted timeline day by day through a snapstore cursor and
-// emits one NDJSON record per day — the day's delta summary plus any
-// requested incrementally folded metrics.  The fold step is the same
-// experiments.DayFolder the batch figure build uses, so streamed
-// metric values are bitwise-identical to the corresponding figure
-// points.  With `Accept: text/event-stream` the records are framed as
-// SSE data events instead.
+// emits one NDJSON record (or, with `Accept: text/event-stream`, SSE
+// data event) per day — the day's delta summary plus any requested
+// metrics.  A static mount reads tables: the summaries recorded at
+// mount time and its dataset's per-day records, from the one build the
+// figures share.  A live mount is walked through a snapstore cursor
+// and folded by a fresh experiments.DayFolder, the build's fold step.
 //
 //	GET /v1/stream/{timeline}?from=LO&to=HI&metrics=cc,recip&pace=MS
 //
 //	from, to   1-based day range (default: the whole timeline; for
 //	           live mounts to=0 means "until the producer finishes")
 //	metrics    comma-separated metric names, or "all"; empty streams
-//	           delta summaries only, which lets the cursor Seek past
-//	           the prefix instead of replaying it through the folder
+//	           delta summaries only
 //	pace       milliseconds to sleep between days (bounded), for
 //	           paced replays and deterministic mid-stream tests
 //
 // Each stream ends with a terminal record: {"done":true,"rows":N} on
-// completion, {"error":...} when the walk was canceled (client
-// disconnect) or the server is draining.  Idle streams emit
-// {"heartbeat":true} every Options.StreamHeartbeat.
+// completion, {"error":...} when the server is draining or the walk
+// failed (naming the day); a disconnected client gets none.  Idle
+// streams emit {"heartbeat":true} every Options.StreamHeartbeat.
 
 // StreamRecord is one per-day row of /v1/stream.
 type StreamRecord struct {
@@ -252,17 +251,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	live := m.IsLive()
-	if !live {
-		n := m.Full.NumDays()
-		if from > n || to > n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("day range %d-%d outside timeline [1,%d]", from, to, n))
-			return
-		}
-		if to == 0 {
-			to = n
-		}
-	}
 	metricNames, err := parseStreamMetrics(q.Get("metrics"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -278,34 +266,25 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		pace = min(time.Duration(ms)*time.Millisecond, maxStreamPace)
 	}
 
-	var srcs []snapstore.DaySource
-	sameView := true
-	if live {
-		srcs = []snapstore.DaySource{m.live}
-	} else {
-		srcs = []snapstore.DaySource{m.Full}
-		if m.View != m.Full {
-			sameView = false
-			srcs = append(srcs, m.View)
-		}
-	}
-	cur, err := snapstore.OpenSourceCursorN(srcs...)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	defer cur.Close()
-
-	// Folded metrics need every delta from day 0; a summaries-only
-	// stream can Seek straight to the requested range instead.
-	var folder *experiments.DayFolder
-	if len(metricNames) > 0 {
-		folder = experiments.NewDayFolder(s.opts.Cfg)
-	} else if from > 1 && !live {
-		if err := cur.Seek(from - 1); err != nil {
+	var next func(ctx context.Context) (StreamRecord, error)
+	if m.IsLive() {
+		cur, err := snapstore.OpenSourceCursorN(m.live)
+		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
+		defer cur.Close()
+		next = liveRows(s.opts.Cfg, cur, from, to, metricNames)
+	} else {
+		n := m.Full.NumDays()
+		if from > n || to > n {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("day range %d-%d outside timeline [1,%d]", from, to, n))
+			return
+		}
+		if to == 0 {
+			to = n
+		}
+		next = m.tableRows(from, to, metricNames)
 	}
 
 	// The walk is cancelable three ways: client disconnect (the request
@@ -328,8 +307,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	sw := &streamWriter{w: w, rc: http.NewResponseController(w), sse: sse}
 
-	// Heartbeats cover the silent stretches: a cursor blocked on a live
-	// producer, or a paced replay sleeping between days.
+	// Heartbeats cover the silent stretches: a wait on a cold build, a
+	// cursor blocked on a live producer, or a paced replay's sleep.
 	if hb := s.opts.StreamHeartbeat; hb > 0 {
 		hbStop := make(chan struct{})
 		hbDone := make(chan struct{})
@@ -361,49 +340,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	rows := 0
 	for {
-		day, gs, ds, err := cur.Next(ctx)
+		rec, err := next(ctx)
+		if ctx.Err() != nil {
+			finish(context.Cause(ctx))
+			return
+		}
 		if err == snapstore.ErrDone {
 			break
 		}
 		if err != nil {
-			finish(context.Cause(ctx))
+			// A failed walk is a value: the client reads why it ended.
+			sw.writeRecord(map[string]string{"error": err.Error()})
 			return
-		}
-		dayNum := day + 1
-		if to != 0 && dayNum > to {
-			break
-		}
-		full, fd := gs[0], ds[0]
-		view, vd := full, fd
-		if !sameView {
-			view, vd = gs[1], ds[1]
-		}
-		if folder != nil {
-			folder.Feed(fd, vd)
-		}
-		if dayNum < from {
-			continue
-		}
-		st := view.Stats()
-		rec := StreamRecord{
-			Day:            dayNum,
-			NewNodes:       fd.NewSocial,
-			NewAttrs:       vd.NewAttrs,
-			NewSocialLinks: len(fd.SocialEdges),
-			NewAttrLinks:   len(vd.AttrLinks),
-			SocialNodes:    st.SocialNodes,
-			SocialLinks:    st.SocialLinks,
-			AttrNodes:      st.AttrNodes,
-			AttrLinks:      st.AttrLinks,
-		}
-		if folder != nil {
-			dm := folder.Measure(dayNum, full, view)
-			rec.Metrics = make(map[string]float64, len(metricNames))
-			for _, mn := range metricNames {
-				if v := streamMetricFields[mn](dm); !math.IsNaN(v) {
-					rec.Metrics[mn] = v
-				}
-			}
 		}
 		if err := sw.writeRecord(rec); err != nil {
 			// The connection died faster than the context propagated.
@@ -422,4 +370,86 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sw.writeRecord(map[string]any{"done": true, "rows": rows})
+}
+
+// dayRecord is the delta summary of one 1-based day: growth counts
+// from the day's delta d, totals from the day's graph g.
+func dayRecord(day int, d *snapstore.Delta, g *san.SAN) StreamRecord {
+	st := g.Stats()
+	return StreamRecord{
+		Day:            day,
+		NewNodes:       d.NewSocial,
+		NewAttrs:       d.NewAttrs,
+		NewSocialLinks: len(d.SocialEdges),
+		NewAttrLinks:   len(d.AttrLinks),
+		SocialNodes:    st.SocialNodes,
+		SocialLinks:    st.SocialLinks,
+		AttrNodes:      st.AttrNodes,
+		AttrLinks:      st.AttrLinks,
+	}
+}
+
+// pickMetrics copies the requested DayMetrics fields, omitting NaNs.
+func pickMetrics(dm experiments.DayMetrics, names []string) map[string]float64 {
+	out := make(map[string]float64, len(names))
+	for _, name := range names {
+		if v := streamMetricFields[name](dm); !math.IsNaN(v) {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// tableRows serves days from..to of a static mount from the summaries
+// recorded at mount time and, when metrics are requested, the
+// dataset's per-day records, waiting on its build.
+func (m *Mount) tableRows(from, to int, metricNames []string) func(context.Context) (StreamRecord, error) {
+	day := from
+	return func(ctx context.Context) (StreamRecord, error) {
+		if day > to {
+			return StreamRecord{}, snapstore.ErrDone
+		}
+		if len(metricNames) > 0 {
+			if err := m.ds.Build(ctx); err != nil {
+				return StreamRecord{}, err
+			}
+		}
+		rec := m.rows[day-1]
+		if len(metricNames) > 0 {
+			rec.Metrics = pickMetrics(m.ds.Days()[day-1], metricNames)
+		}
+		day++
+		return rec, nil
+	}
+}
+
+// liveRows walks a live mount's cursor (to=0: until the producer
+// finishes), folding requested metrics through a fresh DayFolder.
+func liveRows(cfg experiments.Config, cur *snapstore.CursorN, from, to int, metricNames []string) func(context.Context) (StreamRecord, error) {
+	var folder *experiments.DayFolder
+	if len(metricNames) > 0 {
+		folder = experiments.NewDayFolder(cfg)
+	}
+	return func(ctx context.Context) (StreamRecord, error) {
+		for {
+			day, gs, ds, err := cur.Next(ctx)
+			if err != nil {
+				return StreamRecord{}, err
+			}
+			if to != 0 && day+1 > to {
+				return StreamRecord{}, snapstore.ErrDone
+			}
+			if folder != nil {
+				folder.Feed(ds[0], ds[0])
+			}
+			if day+1 < from {
+				continue
+			}
+			rec := dayRecord(day+1, ds[0], gs[0])
+			if folder != nil {
+				rec.Metrics = pickMetrics(folder.Measure(day+1, gs[0], gs[0]), metricNames)
+			}
+			return rec, nil
+		}
+	}
 }

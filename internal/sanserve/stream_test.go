@@ -2,8 +2,10 @@ package sanserve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -421,6 +423,245 @@ func TestCancelMidBuildFreesGate(t *testing.T) {
 	}
 	if got := s.met.figureErrors.Load(); got != errsBefore {
 		t.Errorf("client cancellation counted as a figure error")
+	}
+}
+
+// cursorWalkBody is the reference for a static mount's stream body:
+// the walk the handler used to run per request.  It opens a lockstep
+// cursor over the pair, seeks past the prefix when no metrics are
+// asked for, folds every day from day 0 through a fresh DayFolder
+// otherwise, and frames the rows and the done record as the handler
+// does.
+func cursorWalkBody(t *testing.T, cfg experiments.Config, full, view *snapstore.Timeline, from, to int, metricNames []string, sse bool) string {
+	t.Helper()
+	tls := []*snapstore.Timeline{full}
+	if view != full {
+		tls = append(tls, view)
+	}
+	cur, err := snapstore.OpenCursorN(tls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	var folder *experiments.DayFolder
+	if len(metricNames) > 0 {
+		folder = experiments.NewDayFolder(cfg)
+	} else if err := cur.Seek(from - 1); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	sw := &streamWriter{w: rec, rc: http.NewResponseController(rec), sse: sse}
+	rows := 0
+	for {
+		day, gs, ds, err := cur.Next(context.Background())
+		if err == snapstore.ErrDone {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		dayNum := day + 1
+		if dayNum > to {
+			break
+		}
+		fg, fd := gs[0], ds[0]
+		vg, vd := fg, fd
+		if view != full {
+			vg, vd = gs[1], ds[1]
+		}
+		if folder != nil {
+			folder.Feed(fd, vd)
+		}
+		if dayNum < from {
+			continue
+		}
+		st := vg.Stats()
+		row := StreamRecord{
+			Day:            dayNum,
+			NewNodes:       fd.NewSocial,
+			NewAttrs:       vd.NewAttrs,
+			NewSocialLinks: len(fd.SocialEdges),
+			NewAttrLinks:   len(vd.AttrLinks),
+			SocialNodes:    st.SocialNodes,
+			SocialLinks:    st.SocialLinks,
+			AttrNodes:      st.AttrNodes,
+			AttrLinks:      st.AttrLinks,
+		}
+		if folder != nil {
+			dm := folder.Measure(dayNum, fg, vg)
+			row.Metrics = map[string]float64{}
+			for _, name := range metricNames {
+				if v := streamMetricFields[name](dm); !math.IsNaN(v) {
+					row.Metrics[name] = v
+				}
+			}
+		}
+		if err := sw.writeRecord(row); err != nil {
+			t.Fatal(err)
+		}
+		rows++
+	}
+	if err := sw.writeRecord(map[string]any{"done": true, "rows": rows}); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Body.String()
+}
+
+// TestStreamMatchesCursorWalk pins the table-served stream to the
+// per-request cursor walk it replaced: for a pair mount and a
+// single-file mount, every query shape's body is byte-identical to the
+// reference's.
+func TestStreamMatchesCursorWalk(t *testing.T) {
+	full, view := testTimelines(t)
+	s := newTestServer(t, Options{})
+	if err := s.Mount("single", full, nil); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	n := full.NumDays()
+	shapes := []struct {
+		query    string
+		from, to int
+		metrics  string
+		sse      bool
+	}{
+		{"", 1, n, "", false},
+		{"from=5&to=8", 5, 8, "", false},
+		{"to=3", 1, 3, "", true},
+		{"metrics=all", 1, n, "all", false},
+		{"from=3&metrics=cc,recip", 3, n, "cc,recip", false},
+	}
+	for _, mnt := range []struct {
+		name       string
+		full, view *snapstore.Timeline
+	}{{"gplus", full, view}, {"single", full, full}} {
+		for _, sh := range shapes {
+			names, err := parseStreamMetrics(sh.metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := cursorWalkBody(t, s.opts.Cfg, mnt.full, mnt.view, sh.from, sh.to, names, sh.sse)
+			req := httptest.NewRequest("GET", "/v1/stream/"+mnt.name+"?"+sh.query, nil)
+			if sh.sse {
+				req.Header.Set("Accept", "text/event-stream")
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != 200 || rec.Body.String() != want {
+				t.Errorf("%s?%s (sse=%v): %d, body differs from the cursor walk:\n got %q\nwant %q",
+					mnt.name, sh.query, sh.sse, rec.Code, rec.Body.String(), want)
+			}
+		}
+	}
+}
+
+// flipDayTag returns a copy of tl whose day record (0-based) has one
+// bit of its tag byte flipped: the copy loads, but that day fails to
+// decode.
+func flipDayTag(t *testing.T, tl *snapstore.Timeline, day int) *snapstore.Timeline {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tl.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	off := len(b)
+	for i := day; i < tl.NumDays(); i++ {
+		off -= tl.DaySize(i)
+	}
+	b[off] ^= 1
+	bad, err := snapstore.ReadTimeline(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bad
+}
+
+// TestMountRejectsCorruptDay pins mount-time validation: the walk that
+// records the stream summaries still decodes every delta of both
+// timelines, so a bit-flipped day in either role fails Mount with an
+// error naming the role and the day, and the mount is never listed.
+func TestMountRejectsCorruptDay(t *testing.T) {
+	full, view := testTimelines(t)
+	const day = 5
+	for _, c := range []struct {
+		role       string
+		full, view *snapstore.Timeline
+	}{
+		{"full timeline", flipDayTag(t, full, day), view},
+		{"view timeline", full, flipDayTag(t, view, day)},
+	} {
+		s := New(Options{Cfg: testConfig()})
+		err := s.Mount("bad", c.full, c.view)
+		if err == nil || !strings.Contains(err.Error(), c.role) || !strings.Contains(err.Error(), fmt.Sprintf("day %d:", day)) {
+			t.Errorf("corrupt %s: Mount returned %v, want an error naming the role and day %d", c.role, err, day)
+		}
+		if body := get(t, s.Handler(), "/v1/timelines").Body.String(); strings.Contains(body, `"bad"`) {
+			t.Errorf("corrupt %s: /v1/timelines lists the mount: %s", c.role, body)
+		}
+	}
+}
+
+// TestStreamBuildErrorRecord pins a mid-stream failure as a value: a
+// metrics stream over a mount whose dataset build fails (a bit-flipped
+// day inserted past Mount's validation) ends with a terminal error
+// record naming the day, and is not counted as a cancellation.
+func TestStreamBuildErrorRecord(t *testing.T) {
+	s := newTestServer(t, Options{})
+	full, view := testTimelines(t)
+	bad := flipDayTag(t, full, 5)
+	s.mu.Lock()
+	s.mounts["bad"] = &Mount{Name: "bad", Full: bad, View: view, gen: s.mountGen.Add(1),
+		ds: experiments.NewTimelineDataset(s.opts.Cfg, bad, view)}
+	s.mu.Unlock()
+
+	rec := get(t, s.Handler(), "/v1/stream/bad?metrics=all")
+	if rec.Code != 200 {
+		t.Fatalf("stream: %d %s", rec.Code, rec.Body.String())
+	}
+	rows, terminal := parseStream(t, rec.Body)
+	if len(rows) != 0 || terminal == nil || !strings.Contains(terminal.Error, "day 5:") {
+		t.Fatalf("%d rows, terminal %+v; want no rows and an error naming day 5", len(rows), terminal)
+	}
+	if got := s.met.streamsCanceled.Load(); got != 0 {
+		t.Errorf("streams_canceled_total = %d, want 0 (a failure is not a cancel)", got)
+	}
+}
+
+// TestStreamCancelMidBuild checks a metrics stream on a cold mount
+// whose client is gone while the dataset builds: the stream unwinds
+// and is counted as canceled, the build runs on to completion once,
+// and later metrics streams read it without folding again.
+func TestStreamCancelMidBuild(t *testing.T) {
+	full, view := testTimelines(t)
+	s := New(Options{Cfg: testConfig()})
+	if err := s.Mount("cold", full, view); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stream/cold?metrics=all", nil).WithContext(ctx))
+	if rows, terminal := parseStream(t, rec.Body); len(rows) != 0 || terminal != nil {
+		t.Fatalf("canceled stream wrote %d rows, terminal %+v", len(rows), terminal)
+	}
+	if got := s.met.streamsCanceled.Load(); got != 1 {
+		t.Errorf("streams_canceled_total = %d, want 1", got)
+	}
+	if n := s.ActiveStreams(); n != 0 {
+		t.Errorf("%d streams active after cancel", n)
+	}
+
+	for i := 0; i < 2; i++ {
+		rows, terminal := parseStream(t, get(t, h, "/v1/stream/cold?metrics=all").Body)
+		if len(rows) != full.NumDays() || terminal == nil || !terminal.Done {
+			t.Fatalf("stream %d after cancel: %d rows, terminal %+v", i+2, len(rows), terminal)
+		}
+		if got := s.simProg.Days(); got != int64(full.NumDays()) {
+			t.Errorf("stream %d after cancel: %d fold days, want %d (one build)", i+2, got, full.NumDays())
+		}
 	}
 }
 
