@@ -16,8 +16,10 @@
 #   sh ci/benchdiff.sh -update    rewrite BENCH_baseline.json
 #
 # The run starts with a host-stamp line (nproc, go version, CPU model
-# and the -cpu setting) and warns, without failing, when the host has
-# fewer cores than -cpu.
+# and the -cpu setting).  A host with fewer cores than -cpu cannot
+# reproduce the baseline's timings, so the gate refuses to run there
+# (exit 2, "host not comparable") rather than report regressions that
+# oversubscription alone produces; -update is refused there too.
 #
 # The committed baseline is recorded on one machine; when CI hardware
 # differs materially, loosen the gate with BENCHDIFF_THRESHOLD instead
@@ -58,13 +60,14 @@ collect() {
 }
 
 # Host stamp: the numbers below mean something only next to the host
-# they were taken on.  Fewer cores than -cpu oversubscribes the host,
-# which the gate tolerates but the reader should know about.
+# they were taken on.  Fewer cores than -cpu oversubscribes the host:
+# its ns/op are not comparable to a $CPUS-core baseline, so stop here.
 ncpu=$(nproc)
 model=$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
 echo "benchdiff: host nproc=$ncpu go=$(go env GOVERSION) cpu=\"${model:-unknown}\" -cpu $CPUS"
 if [ "$ncpu" -lt "$CPUS" ]; then
-  echo "benchdiff: warning: nproc $ncpu < $CPUS: -cpu $CPUS oversubscribes this host; timings are not comparable to a $CPUS-core host" >&2
+  echo "benchdiff: host not comparable: nproc $ncpu < -cpu $CPUS oversubscribes this host; run the gate on a host with at least $CPUS cores" >&2
+  exit 2
 fi
 
 echo "benchdiff: running hot-path benchmarks ($COUNT x $BENCHTIME each, -cpu $CPUS)"

@@ -265,10 +265,12 @@ type sharedCand struct {
 
 // sampleScratch holds the per-simulation buffers of the exact mixture
 // sampler.  count is indexed by NodeID and is all-zero between calls
-// (touched lists the dirtied entries, which every exit path resets).
+// (touched lists the dirtied entries, which every exit path resets);
+// spare is the radix sort's second buffer.
 type sampleScratch struct {
 	count   []int32
 	touched []san.NodeID
+	spare   []san.NodeID
 	shared  []sharedCand
 	prefix  []float64
 }
@@ -284,6 +286,7 @@ func (at *Attacher) buildShared(g *san.SAN, u san.NodeID, limit int) ([]sharedCa
 		scr.count = append(scr.count, make([]int32, n-len(scr.count))...)
 	}
 	touched := scr.touched[:0]
+	var maxID san.NodeID
 	enum := 0
 	for _, a := range g.Attrs(u) {
 		members := g.Members(a)
@@ -301,11 +304,12 @@ func (at *Attacher) buildShared(g *san.SAN, u san.NodeID, limit int) ([]sharedCa
 			}
 			if scr.count[v] == 0 {
 				touched = append(touched, v)
+				maxID = max(maxID, v)
 			}
 			scr.count[v]++
 		}
 	}
-	slices.Sort(touched)
+	touched, scr.spare = radixSort(touched, scr.spare, maxID)
 	shared := scr.shared[:0]
 	for _, v := range touched {
 		shared = append(shared, sharedCand{v: v, a: int(scr.count[v])})
@@ -314,6 +318,34 @@ func (at *Attacher) buildShared(g *san.SAN, u san.NodeID, limit int) ([]sharedCa
 	scr.touched = touched
 	scr.shared = shared
 	return shared, true
+}
+
+// radixSort orders ids ascending in linear time: an LSD radix over
+// 8-bit digits, with only as many passes as maxID (the largest of ids)
+// needs.  It sorts rather than merges u's member lists because those
+// are not all ascending: NewModel lists each seed attribute's creator
+// first.  spare is the second buffer; radixSort returns the sorted
+// slice and whichever buffer is left over, to be passed back next call.
+func radixSort(ids, spare []san.NodeID, maxID san.NodeID) (sorted, left []san.NodeID) {
+	spare = slices.Grow(spare[:0], len(ids))[:len(ids)]
+	for shift := 0; maxID>>shift > 0; shift += 8 {
+		var start [256]int
+		for _, v := range ids {
+			start[v>>shift&0xff]++
+		}
+		sum := 0
+		for d, c := range start {
+			start[d] = sum
+			sum += c
+		}
+		for _, v := range ids {
+			d := v >> shift & 0xff
+			spare[start[d]] = v
+			start[d]++
+		}
+		ids, spare = spare, ids
+	}
+	return ids, spare
 }
 
 // pickShared resolves one uniform draw over the shared-candidate bonus

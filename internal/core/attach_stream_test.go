@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/san"
@@ -281,6 +282,102 @@ func TestFenwickAgainstBruteForce(t *testing.T) {
 				if math.Abs(cum-x) > 1e-9*math.Max(cum, x) {
 					t.Fatalf("step %d: search(%g) = %d, brute force %d", step, x, got, want)
 				}
+			}
+		}
+	}
+}
+
+// buildSharedSorted is the reference buildShared: count each
+// candidate's shared attributes, then comparison-sort the touched IDs.
+func buildSharedSorted(g *san.SAN, u san.NodeID, limit int) ([]sharedCand, bool) {
+	count := make(map[san.NodeID]int32)
+	var touched []san.NodeID
+	enum := 0
+	for _, a := range g.Attrs(u) {
+		members := g.Members(a)
+		if enum += len(members); enum > limit {
+			return nil, false
+		}
+		for _, v := range members {
+			if v == u {
+				continue
+			}
+			if count[v] == 0 {
+				touched = append(touched, v)
+			}
+			count[v]++
+		}
+	}
+	slices.Sort(touched)
+	var shared []sharedCand
+	for _, v := range touched {
+		shared = append(shared, sharedCand{v: v, a: int(count[v])})
+	}
+	return shared, true
+}
+
+// TestBuildSharedMatchesSortedCount pins the radix-ordered candidate
+// list to the count-and-sort oracle, candidate for candidate, on three
+// graphs: a SAN whose member lists are shuffled and whose IDs need
+// three radix passes, a NewModel seed graph (one pass; each seed
+// attribute lists its creator first), and a Generate run (two passes).
+// A small limit makes some calls bail out mid-count, so the scratch
+// must come back clean for the next call.
+func TestBuildSharedMatchesSortedCount(t *testing.T) {
+	shuffled := func() *san.SAN {
+		rng := rand.New(rand.NewPCG(3, 5))
+		const n = 70000
+		g := san.New(n, 40, 0)
+		g.AddSocialNodes(n)
+		for a := 0; a < 40; a++ {
+			id := g.AddAttrNode(string(rune('A'+a)), san.Generic)
+			for k := 5 + rng.IntN(200); k > 0; k-- {
+				g.AddAttrEdge(san.NodeID(rng.IntN(n)), id)
+			}
+			for k := 3; k > 0; k-- {
+				g.AddAttrEdge(san.NodeID(rng.IntN(300)), id) // common low IDs
+			}
+		}
+		return g
+	}
+	descending := func(g *san.SAN) bool {
+		for a := 0; a < g.NumAttrs(); a++ {
+			if !slices.IsSorted(g.Members(san.AttrID(a))) {
+				return true
+			}
+		}
+		return false
+	}
+	graphs := []struct {
+		name string
+		g    *san.SAN
+	}{
+		{"shuffled", shuffled()},
+		{"seed", NewModel(NewDefaultParams(100)).G},
+		{"generate", buildAttachGraph(t)},
+	}
+	for _, tc := range graphs {
+		if !descending(tc.g) {
+			t.Fatalf("%s: every member list is ascending; the graph does not test the order", tc.name)
+		}
+		at := NewAttacher(AttachLAPA, 1, 200)
+		for _, limit := range []int{4000, 30} {
+			bailed := 0
+			for u := 0; u < tc.g.NumSocial(); u++ {
+				if tc.g.AttrDegree(san.NodeID(u)) == 0 {
+					continue
+				}
+				got, okGot := at.buildShared(tc.g, san.NodeID(u), limit)
+				want, okWant := buildSharedSorted(tc.g, san.NodeID(u), limit)
+				if okGot != okWant || !slices.Equal(got, want) {
+					t.Fatalf("%s limit %d source %d: buildShared = %v (%v), oracle %v (%v)", tc.name, limit, u, got, okGot, want, okWant)
+				}
+				if !okGot {
+					bailed++
+				}
+			}
+			if limit == 30 && bailed == 0 && tc.name != "seed" {
+				t.Errorf("%s: no call exceeded limit %d; the bail-out path went untested", tc.name, limit)
 			}
 		}
 	}

@@ -167,35 +167,26 @@ func (c *Closer) sampleBaseline(g *san.SAN, u san.NodeID, rng *rand.Rand) san.No
 // SAN at a time (point it at a different SAN only after resetting the
 // embedded cache); concurrent simulations must each own one.
 type TwoHopScratch struct {
-	mark  []uint32
-	epoch uint32
-	nbrs  san.NeighborCache
-	out   []san.NodeID
+	mark san.Marker
+	nbrs san.NeighborCache
+	out  []san.NodeID
 }
 
 // TwoHop returns the distinct social nodes within a 2-hop radius of u,
 // in the same order as the package-level TwoHop.  The result is
 // scratch-owned and valid until the next call.
 func (s *TwoHopScratch) TwoHop(g *san.SAN, u san.NodeID) []san.NodeID {
-	if n := g.NumSocial(); len(s.mark) < n {
-		s.mark = append(s.mark, make([]uint32, n-len(s.mark))...)
-	}
-	s.epoch++
-	if s.epoch == 0 { // epoch wrapped: restamp from a clean index
-		clear(s.mark)
-		s.epoch = 1
-	}
-	e := s.epoch
-	s.mark[u] = e
+	s.mark.Reset(g.NumSocial())
+	s.mark.Mark(u)
 	out := s.out[:0]
 	for _, w := range s.nbrs.Neighbors(g, u) {
-		if s.mark[w] != e {
-			s.mark[w] = e
+		if !s.mark.Marked(w) {
+			s.mark.Mark(w)
 			out = append(out, w)
 		}
 		for _, v := range s.nbrs.Neighbors(g, w) {
-			if s.mark[v] != e {
-				s.mark[v] = e
+			if !s.mark.Marked(v) {
+				s.mark.Mark(v)
 				out = append(out, v)
 			}
 		}

@@ -44,6 +44,9 @@ func ClassifyClosures(tr *trace.Trace, every int) ClosureStats {
 	}
 	var cs ClosureStats
 	seen := 0
+	// One marker for the whole replay; each count resizes it to the
+	// growing graph.
+	var mark san.Marker
 	tr.Replay(func(g *san.SAN, e trace.Event) {
 		if e.Kind != trace.TriangleLink {
 			return
@@ -53,7 +56,7 @@ func ClassifyClosures(tr *trace.Trace, every int) ClosureStats {
 			return
 		}
 		cs.Total++
-		triadic := g.CommonSocialNeighbors(e.U, e.V) > 0
+		triadic := g.CommonSocialNeighbors(e.U, e.V, &mark) > 0
 		focal := g.CommonAttrs(e.U, e.V) > 0
 		if triadic {
 			cs.Triadic++

@@ -21,16 +21,37 @@ func SampleSize(eps float64, nu float64) int {
 	return int(math.Ceil(math.Log(2*nu) / (2 * eps * eps)))
 }
 
+// clusterer is the reusable state of exact clustering: one stamp
+// marker and one neighbor buffer, shared across a whole curve.
+type clusterer struct {
+	mark san.Marker
+	nbrs []san.NodeID
+}
+
 // linksAmong counts L(u): the number of directed social links among
-// the given set of social nodes (each direction counted separately).
-func linksAmong(g *san.SAN, nodes []san.NodeID) int {
+// the given distinct social nodes (each direction counted separately).
+// It marks the set once, then counts each member's marked
+// out-neighbors, or probes the set when the member's out-list is the
+// longer of the two.  Social links have no self-loops, so this is the
+// ordered-pair census of every v ≠ w in the set.
+func (c *clusterer) linksAmong(g *san.SAN, nodes []san.NodeID) int {
+	c.mark.Reset(g.NumSocial())
+	for _, v := range nodes {
+		c.mark.Mark(v)
+	}
 	l := 0
-	for i, v := range nodes {
-		for j, w := range nodes {
-			if i == j {
-				continue
+	for _, v := range nodes {
+		out := g.Out(v)
+		if len(out) > len(nodes) {
+			for _, w := range nodes {
+				if g.HasSocialEdge(v, w) {
+					l++
+				}
 			}
-			if g.HasSocialEdge(v, w) {
+			continue
+		}
+		for _, w := range out {
+			if c.mark.Marked(w) {
 				l++
 			}
 		}
@@ -38,16 +59,22 @@ func linksAmong(g *san.SAN, nodes []san.NodeID) int {
 	return l
 }
 
-// SocialClustering returns the directed clustering coefficient
-// c(u) = L(u) / (|Γs(u)|(|Γs(u)|-1)) of social node u (§3.4); 0 when u
-// has fewer than two social neighbors.  Cost is O(|Γs(u)|²).
-func SocialClustering(g *san.SAN, u san.NodeID) float64 {
-	nbrs := g.SocialNeighbors(u)
-	d := len(nbrs)
+// social returns c(u); see SocialClustering.
+func (c *clusterer) social(g *san.SAN, u san.NodeID) float64 {
+	c.nbrs = g.AppendSocialNeighbors(c.nbrs[:0], u)
+	d := len(c.nbrs)
 	if d < 2 {
 		return 0
 	}
-	return float64(linksAmong(g, nbrs)) / float64(d*(d-1))
+	return float64(c.linksAmong(g, c.nbrs)) / float64(d*(d-1))
+}
+
+// SocialClustering returns the directed clustering coefficient
+// c(u) = L(u) / (|Γs(u)|(|Γs(u)|-1)) of social node u (§3.4); 0 when u
+// has fewer than two social neighbors.  Cost is O(Σ min(|Γs,out(v)|,
+// |Γs(u)|)) over the neighbors v of u, plus an |Vs| marker per call.
+func SocialClustering(g *san.SAN, u san.NodeID) float64 {
+	return new(clusterer).social(g, u)
 }
 
 // AttrClustering returns the attribute clustering coefficient c(a) of
@@ -57,6 +84,11 @@ func SocialClustering(g *san.SAN, u san.NodeID) float64 {
 // (deterministically seeded), keeping the cost bounded for celebrity
 // attributes.  Pass maxExact <= 0 for a default of 64.
 func AttrClustering(g *san.SAN, a san.AttrID, maxExact int, rng *rand.Rand) float64 {
+	return new(clusterer).attr(g, a, maxExact, rng)
+}
+
+// attr returns c(a); see AttrClustering.
+func (c *clusterer) attr(g *san.SAN, a san.AttrID, maxExact int, rng *rand.Rand) float64 {
 	if maxExact <= 0 {
 		maxExact = 64
 	}
@@ -66,7 +98,7 @@ func AttrClustering(g *san.SAN, a san.AttrID, maxExact int, rng *rand.Rand) floa
 		return 0
 	}
 	if d <= maxExact {
-		return float64(linksAmong(g, members)) / float64(d*(d-1))
+		return float64(c.linksAmong(g, members)) / float64(d*(d-1))
 	}
 	// Sample ordered pairs uniformly.
 	k := maxExact * maxExact
@@ -86,15 +118,16 @@ func AttrClustering(g *san.SAN, a san.AttrID, maxExact int, rng *rand.Rand) floa
 }
 
 // AverageSocialClusteringExact computes Cs = (1/|Vs|) Σ c(u) exactly.
-// O(Σ deg²); use on small graphs and in tests.
+// It visits every neighborhood; use on small graphs and in tests.
 func AverageSocialClusteringExact(g *san.SAN) float64 {
 	n := g.NumSocial()
 	if n == 0 {
 		return 0
 	}
+	var c clusterer
 	var sum float64
 	for u := 0; u < n; u++ {
-		sum += SocialClustering(g, san.NodeID(u))
+		sum += c.social(g, san.NodeID(u))
 	}
 	return sum / float64(n)
 }
@@ -175,8 +208,9 @@ func SocialClusteringByDegree(g *san.SAN, perNode int, rng *rand.Rand) []DegreeC
 			byDeg[d] = append(byDeg[d], san.NodeID(u))
 		}
 	}
+	var c clusterer
 	return clusteringByDegree(byDeg, perNode, rng, func(u san.NodeID) float64 {
-		return SocialClustering(g, u)
+		return c.social(g, u)
 	})
 }
 
@@ -191,8 +225,9 @@ func AttrClusteringByDegree(g *san.SAN, perNode int, rng *rand.Rand) []DegreeClu
 			byDeg[d] = append(byDeg[d], san.NodeID(a))
 		}
 	}
+	var c clusterer
 	return clusteringByDegree(byDeg, perNode, rng, func(id san.NodeID) float64 {
-		return AttrClustering(g, san.AttrID(id), 0, rng)
+		return c.attr(g, san.AttrID(id), 0, rng)
 	})
 }
 
@@ -229,9 +264,10 @@ func clusteringByDegree(byDeg map[int][]san.NodeID, perNode int, rng *rand.Rand,
 func AverageAttrClusteringByType(g *san.SAN, rng *rand.Rand) map[san.AttrType]float64 {
 	sums := make(map[san.AttrType]float64)
 	counts := make(map[san.AttrType]int)
+	var c clusterer
 	for a := 0; a < g.NumAttrs(); a++ {
 		t := g.AttrTypeOf(san.AttrID(a))
-		sums[t] += AttrClustering(g, san.AttrID(a), 0, rng)
+		sums[t] += c.attr(g, san.AttrID(a), 0, rng)
 		counts[t]++
 	}
 	out := make(map[san.AttrType]float64, len(sums))

@@ -36,11 +36,12 @@ func FineGrainedReciprocity(half, final *san.SAN, maxCommon int) []ReciprocityBu
 		buckets[i].CommonSocial = i % (maxCommon + 1)
 		buckets[i].CommonAttrs = i / (maxCommon + 1)
 	}
+	var mark san.Marker
 	half.ForEachSocialEdge(func(u, v san.NodeID) {
 		if half.HasSocialEdge(v, u) {
 			return // already mutual at the halfway point
 		}
-		s := half.CommonSocialNeighbors(u, v)
+		s := half.CommonSocialNeighbors(u, v, &mark)
 		if s > maxCommon {
 			s = maxCommon
 		}

@@ -16,8 +16,7 @@ package san
 type NeighborCache struct {
 	lists  [][]NodeID
 	stamps []uint64
-	mark   []uint32
-	epoch  uint32
+	mark   Marker
 }
 
 // Reset invalidates every entry (buffers are retained for reuse).
@@ -78,22 +77,14 @@ func (c *NeighborCache) Neighbors(g *SAN, u NodeID) []NodeID {
 		c.stamps[u] = cur
 		return lst
 	}
-	if n := g.NumSocial(); len(c.mark) < n {
-		c.mark = append(c.mark, make([]uint32, n-len(c.mark))...)
-	}
-	c.epoch++
-	if c.epoch == 0 { // epoch wrapped: restamp from a clean index
-		clear(c.mark)
-		c.epoch = 1
-	}
-	e := c.epoch
+	c.mark.Reset(g.NumSocial())
 	lst := c.lists[u][:0]
 	for _, v := range out {
-		c.mark[v] = e
+		c.mark.Mark(v)
 		lst = append(lst, v)
 	}
 	for _, v := range in {
-		if c.mark[v] != e {
+		if !c.mark.Marked(v) {
 			lst = append(lst, v)
 		}
 	}

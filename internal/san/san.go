@@ -472,25 +472,57 @@ func (g *SAN) CommonAttrs(u, v NodeID) int {
 	return n
 }
 
-// CommonSocialNeighbors returns the number of social nodes adjacent
-// (in either direction) to both u and v.  Cost is O(deg(u)+deg(v)).
-func (g *SAN) CommonSocialNeighbors(u, v NodeID) int {
-	du := len(g.out[u]) + len(g.in[u])
-	dv := len(g.out[v]) + len(g.in[v])
-	if du > dv {
-		u, v = v, u
+// Marker is a reusable stamp set over social node IDs.  Reset empties
+// it in O(1) by advancing an epoch, so a kernel that marks one node set
+// per call pays for the set, not for clearing or allocating an |Vs|
+// array.  The zero value is ready to use; a Marker is not safe for
+// concurrent use.
+type Marker struct {
+	stamp []uint32
+	epoch uint32
+}
+
+// Reset empties the set and sizes it for node IDs below n.
+func (m *Marker) Reset(n int) {
+	if len(m.stamp) < n {
+		m.stamp = append(m.stamp, make([]uint32, n-len(m.stamp))...)
 	}
-	seen := make(map[NodeID]bool, du)
-	for _, w := range g.SocialNeighbors(u) {
-		if w != v {
-			seen[w] = true
-		}
+	m.epoch++
+	if m.epoch == 0 { // wrapped: old stamps would alias the new epoch
+		clear(m.stamp)
+		m.epoch = 1
+	}
+}
+
+// Mark adds v to the set.
+func (m *Marker) Mark(v NodeID) { m.stamp[v] = m.epoch }
+
+// Unmark removes v from the set.
+func (m *Marker) Unmark(v NodeID) { m.stamp[v] = 0 }
+
+// Marked reports whether v is in the set.
+func (m *Marker) Marked(v NodeID) bool { return m.stamp[v] == m.epoch }
+
+// CommonSocialNeighbors returns the number of social nodes adjacent
+// (in either direction) to both u and v.  It marks Γs(u) in m, then
+// walks Γs(v) and unmarks each hit, so a node that is both an out- and
+// an in-neighbor of v counts once.  Cost is O(deg(u)+deg(v)) with no
+// allocation once m has grown to |Vs|.
+func (g *SAN) CommonSocialNeighbors(u, v NodeID, m *Marker) int {
+	m.Reset(len(g.out))
+	for _, w := range g.out[u] {
+		m.Mark(w)
+	}
+	for _, w := range g.in[u] {
+		m.Mark(w)
 	}
 	n := 0
-	for _, w := range g.SocialNeighbors(v) {
-		if seen[w] {
-			n++
-			seen[w] = false // count each common neighbor once
+	for _, adj := range [2][]NodeID{g.out[v], g.in[v]} {
+		for _, w := range adj {
+			if m.Marked(w) {
+				n++
+				m.Unmark(w)
+			}
 		}
 	}
 	return n

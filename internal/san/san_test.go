@@ -128,9 +128,35 @@ func TestCommonAttrs(t *testing.T) {
 	}
 }
 
+// commonSocialNeighborsMap is the reference common-neighbor count: a
+// map over the smaller neighborhood, probed with the other one.
+// CommonSocialNeighbors must agree with it on every pair.
+func commonSocialNeighborsMap(g *SAN, u, v NodeID) int {
+	du := len(g.out[u]) + len(g.in[u])
+	dv := len(g.out[v]) + len(g.in[v])
+	if du > dv {
+		u, v = v, u
+	}
+	seen := make(map[NodeID]bool, du)
+	for _, w := range g.SocialNeighbors(u) {
+		if w != v {
+			seen[w] = true
+		}
+	}
+	n := 0
+	for _, w := range g.SocialNeighbors(v) {
+		if seen[w] {
+			n++
+			seen[w] = false // count each common neighbor once
+		}
+	}
+	return n
+}
+
 func TestCommonSocialNeighbors(t *testing.T) {
 	g := New(0, 0, 0)
 	g.AddSocialNodes(5)
+	var m Marker
 	// 0 -> 2, 1 -> 2, 2 -> 3, 3 -> 0, 3 -> 1: neighbors(0) = {2, 3},
 	// neighbors(1) = {2, 3}; common = {2, 3} = 2.
 	g.AddSocialEdge(0, 2)
@@ -138,13 +164,31 @@ func TestCommonSocialNeighbors(t *testing.T) {
 	g.AddSocialEdge(2, 3)
 	g.AddSocialEdge(3, 0)
 	g.AddSocialEdge(3, 1)
-	if got := g.CommonSocialNeighbors(0, 1); got != 2 {
+	if got := g.CommonSocialNeighbors(0, 1, &m); got != 2 {
 		t.Errorf("CommonSocialNeighbors(0,1) = %d, want 2", got)
 	}
-	// A mutual pair 0<->2 must still count 2 once as a neighbor of 0.
+	// A mutual pair 0<->2 must still count 2 once as a neighbor of 0,
+	// and a mutual pair 1<->3 must count 3 once as a neighbor of 1.
 	g.AddSocialEdge(2, 0)
-	if got := g.CommonSocialNeighbors(0, 1); got != 2 {
-		t.Errorf("after mutual edge, CommonSocialNeighbors(0,1) = %d, want 2", got)
+	g.AddSocialEdge(1, 3)
+	if got := g.CommonSocialNeighbors(0, 1, &m); got != 2 {
+		t.Errorf("after mutual edges, CommonSocialNeighbors(0,1) = %d, want 2", got)
+	}
+	for u := NodeID(0); u < 5; u++ {
+		for v := NodeID(0); v < 5; v++ {
+			if got, want := g.CommonSocialNeighbors(u, v, &m), commonSocialNeighborsMap(g, u, v); got != want {
+				t.Errorf("CommonSocialNeighbors(%d,%d) = %d, oracle %d", u, v, got, want)
+			}
+		}
+	}
+	// An epoch wrap must clear stale stamps, not alias them.  Node 4 is
+	// isolated, so the first count leaves Γs(0) = {2, 3} stamped with
+	// epoch 1, the epoch the wrap restarts at.
+	var w Marker
+	g.CommonSocialNeighbors(0, 4, &w)
+	w.epoch = ^uint32(0)
+	if got := g.CommonSocialNeighbors(4, 1, &w); got != 0 {
+		t.Errorf("across an epoch wrap, CommonSocialNeighbors(4,1) = %d, want 0", got)
 	}
 }
 
@@ -351,8 +395,10 @@ func TestRandomGraphInvariants(t *testing.T) {
 			t.Log("CommonAttrs asymmetric")
 			return false
 		}
-		if u != v && g.CommonSocialNeighbors(u, v) != g.CommonSocialNeighbors(v, u) {
-			t.Log("CommonSocialNeighbors asymmetric")
+		var m Marker
+		if c := g.CommonSocialNeighbors(u, v, &m); c != commonSocialNeighborsMap(g, u, v) ||
+			u != v && c != g.CommonSocialNeighbors(v, u, &m) {
+			t.Log("CommonSocialNeighbors asymmetric or off its map oracle")
 			return false
 		}
 		// Round trip through serialization preserves edge sets.
