@@ -265,7 +265,7 @@ type sharedCand struct {
 
 // sampleScratch holds the per-simulation buffers of the exact mixture
 // sampler.  count is indexed by NodeID and is all-zero between calls
-// (touched lists the dirtied entries, which every exit path resets);
+// (touched lists the dirtied entries, which buildShared resets);
 // spare is the radix sort's second buffer.
 type sampleScratch struct {
 	count   []int32
@@ -277,28 +277,26 @@ type sampleScratch struct {
 
 // buildShared enumerates the candidates sharing at least one attribute
 // with u, ordered by ascending node ID (sampling must be deterministic
-// for a fixed rng stream).  It reports false when the enumeration
+// for a fixed rng stream).  It reports false, before scanning any
+// member, when the enumeration — the sum of u's community sizes —
 // exceeds limit.  The result is scratch-owned and valid until the next
 // call.
 func (at *Attacher) buildShared(g *san.SAN, u san.NodeID, limit int) ([]sharedCand, bool) {
+	enum := 0
+	for _, a := range g.Attrs(u) {
+		enum += len(g.Members(a))
+	}
+	if enum > limit {
+		return nil, false
+	}
 	scr := at.scratch()
 	if n := g.NumSocial(); len(scr.count) < n {
 		scr.count = append(scr.count, make([]int32, n-len(scr.count))...)
 	}
 	touched := scr.touched[:0]
 	var maxID san.NodeID
-	enum := 0
 	for _, a := range g.Attrs(u) {
-		members := g.Members(a)
-		enum += len(members)
-		if enum > limit {
-			for _, v := range touched {
-				scr.count[v] = 0
-			}
-			scr.touched = touched
-			return nil, false
-		}
-		for _, v := range members {
+		for _, v := range g.Members(a) {
 			if v == u {
 				continue
 			}

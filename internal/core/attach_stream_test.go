@@ -382,3 +382,28 @@ func TestBuildSharedMatchesSortedCount(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildSharedLimitBoundary pins the limit check: u's enumeration
+// is the summed size of its communities (u itself included), one of
+// exactly limit stays exact, and one of limit+1 falls back.
+func TestBuildSharedLimitBoundary(t *testing.T) {
+	g := san.New(12, 2, 0)
+	g.AddSocialNodes(12)
+	a := g.AddAttrNode("a", san.Generic)
+	b := g.AddAttrNode("b", san.Generic)
+	for v := 0; v < 7; v++ {
+		g.AddAttrEdge(san.NodeID(v), a)
+	}
+	for _, v := range []int{0, 3, 9, 11} {
+		g.AddAttrEdge(san.NodeID(v), b)
+	}
+	const u, enum = 0, 7 + 4
+	at := NewAttacher(AttachLAPA, 1, 200)
+	for _, limit := range []int{enum, enum - 1, enum} {
+		got, ok := at.buildShared(g, u, limit)
+		want, wantOK := buildSharedSorted(g, u, limit)
+		if ok != (limit >= enum) || ok != wantOK || !slices.Equal(got, want) {
+			t.Fatalf("limit %d, enumeration %d: buildShared = %v (%v), oracle %v (%v)", limit, enum, got, ok, want, wantOK)
+		}
+	}
+}

@@ -19,7 +19,10 @@ import (
 // per day, Measure pays for the sampled estimators.  Skipping Measure
 // for a day changes nothing downstream — each day gets its own rng,
 // and the only Measure-side mutation is neighbor-cache memoization,
-// which never changes a served list.
+// which never changes a served list.  Measure runs its estimators in
+// two concurrent lanes; the cache belongs to the rng lane (the
+// clustering and attribute-diameter estimators) and the other lane
+// never touches it.
 type DayFolder struct {
 	cfg Config
 	soc *metrics.SocialDegreeAccum

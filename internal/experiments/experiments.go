@@ -27,6 +27,7 @@ import (
 	"repro/internal/hll"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/san"
 	"repro/internal/snapstore"
 	"repro/internal/stats"
@@ -361,27 +362,37 @@ func measureTimelines(ds *Dataset) error {
 // determinism contract with the test oracle.  nc, when non-nil,
 // serves the social clustering estimator cached neighbor lists; the
 // estimate is identical either way.
+//
+// Two concurrent lanes only read the graphs and write their own fields
+// of m: the rng lane (the three rng consumers, in order, and the only
+// user of nc) and the rng-free lane (assortativities, stats, HyperANF).
 func measureDaySampled(cfg Config, day int, full, view *san.SAN, nc *metrics.NeighborCache) DayMetrics {
-	rng := rand.New(rand.NewPCG(cfg.Seed^uint64(day)*0x9b05688c2b3e6c1f, uint64(day)))
-	ccSamples := metrics.SampleSize(0.01, 100) // ε=0.01, ν=100 per day
 	m := DayMetrics{
 		Day:           day,
 		Recip:         full.Reciprocity(),
 		SocialDensity: full.SocialDensity(),
 		AttrDensity:   view.AttrDensity(),
-		Assort:        metrics.SocialAssortativity(full),
-		AttrAssort:    metrics.AttrAssortativity(view),
-		CC:            socialCC(full, ccSamples, rng, nc),
-		AttrCC:        metrics.AverageAttrClustering(view, ccSamples, rng),
 		DiamSocial:    math.NaN(),
 		DiamAttr:      math.NaN(),
 	}
-	m.Stats = view.Stats()
-	if cfg.DiamEvery > 0 && day%cfg.DiamEvery == 0 && day >= cfg.DiamEvery {
-		nf := hll.HyperANF(full, hll.Options{Precision: cfg.HLLBits, Seed: cfg.Seed})
-		m.DiamSocial = nf.EffectiveDiameter(0.9)
-		m.DiamAttr = attrDiameter(view, rng)
-	}
+	diam := cfg.DiamEvery > 0 && day%cfg.DiamEvery == 0 && day >= cfg.DiamEvery
+	par.Do(func() {
+		rng := rand.New(rand.NewPCG(cfg.Seed^uint64(day)*0x9b05688c2b3e6c1f, uint64(day)))
+		ccSamples := metrics.SampleSize(0.01, 100) // ε=0.01, ν=100 per day
+		m.CC = socialCC(full, ccSamples, rng, nc)
+		m.AttrCC = metrics.AverageAttrClustering(view, ccSamples, rng)
+		if diam {
+			m.DiamAttr = attrDiameter(view, rng)
+		}
+	}, func() {
+		m.Assort = metrics.SocialAssortativity(full)
+		m.AttrAssort = metrics.AttrAssortativity(view)
+		m.Stats = view.Stats()
+		if diam {
+			nf := hll.HyperANF(full, hll.Options{Precision: cfg.HLLBits, Seed: cfg.Seed})
+			m.DiamSocial = nf.EffectiveDiameter(0.9)
+		}
+	})
 	return m
 }
 

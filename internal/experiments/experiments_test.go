@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/gplus"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // qc is the shared quick config; the dataset behind it is cached, so
@@ -126,6 +128,51 @@ func TestTimelineDatasetMatchesSimulation(t *testing.T) {
 		}
 		if err := sameFigure(fromSim, fromTL); err != nil {
 			t.Errorf("figure %s: GetDataset and timeline dataset diverge: %v", id, err)
+		}
+	}
+}
+
+// TestDatasetBuildIndependentOfGOMAXPROCS pins the fan-out of the
+// cold pass to its schedule: a timeline dataset built and charted at
+// GOMAXPROCS 1 and at 2 gives the same per-day records and the same
+// bits in all registry figures.  Each run keys the model caches apart
+// with a Progress of its own, so both generate their models.
+func TestDatasetBuildIndependentOfGOMAXPROCS(t *testing.T) {
+	sim := GetDataset(qc())
+	type run struct {
+		days []DayMetrics
+		figs []Figure
+	}
+	var runs []run
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			cfg := qc()
+			cfg.Progress = &obs.Progress{}
+			ds := NewTimelineDataset(cfg, sim.FullTimeline(), sim.ViewTimeline())
+			r := run{days: ds.Days()}
+			for _, id := range IDs() {
+				fig, err := RunOn(id, ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.figs = append(r.figs, fig)
+			}
+			runs = append(runs, r)
+		}()
+	}
+	a, b := runs[0], runs[1]
+	if len(a.days) != len(b.days) {
+		t.Fatalf("%d days at GOMAXPROCS 1, %d at 2", len(a.days), len(b.days))
+	}
+	for i := range a.days {
+		if err := sameDayMetrics(a.days[i], b.days[i]); err != nil {
+			t.Fatalf("day %d differs between GOMAXPROCS 1 and 2: %v", i+1, err)
+		}
+	}
+	for i, id := range IDs() {
+		if err := sameFigure(a.figs[i], b.figs[i]); err != nil {
+			t.Errorf("figure %s differs between GOMAXPROCS 1 and 2: %v", id, err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/anon"
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/san"
 	"repro/internal/sybil"
 )
@@ -25,8 +26,8 @@ func Fig19(d *Dataset) Figure {
 		p.FocalWeight = focal
 		return core.Generate(p)
 	}
-	mFC := build(0.1)
-	mNo := build(0)
+	var mFC, mNo *san.SAN
+	par.Do(func() { mFC = build(0.1) }, func() { mNo = build(0) })
 	zh := getModels(d.Cfg).zhel
 
 	// Compromise 0.5%..4% of nodes (the paper compromises 20k-200k of
@@ -47,18 +48,36 @@ func Fig19(d *Dataset) Figure {
 		{"Zhel", zh},
 	}
 
-	f := Figure{ID: "fig19", Title: "Application fidelity: SybilLimit and anonymity"}
-	var gpSybils []float64
-	for _, net := range nets {
-		pts := sybil.Sweep(net.g, counts, w, bound, 0, d.Cfg.Seed)
-		s := Series{Name: "sybil-" + net.name}
-		for _, p := range pts {
-			s.X = append(s.X, float64(p.Compromised))
-			s.Y = append(s.Y, float64(p.Sybils))
+	ap := anon.DefaultParams()
+	ap.Seed = d.Cfg.Seed
+	ap.Trials = 60000
+	// The eight sweeps are independent, each seeding its own rng;
+	// sweeps[i] is network i's SybilLimit curve, sweeps[len(nets)+i]
+	// its anonymity curve.
+	sweeps := make([]Series, 2*len(nets))
+	par.For(len(sweeps), func(i int) {
+		net := nets[i%len(nets)]
+		s := &sweeps[i]
+		if i < len(nets) {
+			s.Name = "sybil-" + net.name
+			for _, p := range sybil.Sweep(net.g, counts, w, bound, 0, d.Cfg.Seed) {
+				s.X = append(s.X, float64(p.Compromised))
+				s.Y = append(s.Y, float64(p.Sybils))
+			}
+			return
 		}
-		if net.name == "GooglePlus" {
-			gpSybils = append([]float64(nil), s.Y...)
-		} else if len(gpSybils) == len(s.Y) && len(s.Y) > 0 {
+		s.Name = "anon-" + net.name
+		for _, p := range anon.Sweep(net.g, counts, ap) {
+			s.X = append(s.X, float64(p.Compromised))
+			s.Y = append(s.Y, p.Probability)
+		}
+	})
+
+	f := Figure{ID: "fig19", Title: "Application fidelity: SybilLimit and anonymity", Series: sweeps}
+	gpSybils := sweeps[0].Y
+	for i, net := range nets[1:] {
+		s := sweeps[1+i]
+		if len(gpSybils) == len(s.Y) && len(s.Y) > 0 {
 			last := len(s.Y) - 1
 			if gpSybils[last] > 0 {
 				err := 100 * (s.Y[last] - gpSybils[last]) / gpSybils[last]
@@ -66,20 +85,6 @@ func Fig19(d *Dataset) Figure {
 					net.name, err))
 			}
 		}
-		f.Series = append(f.Series, s)
-	}
-
-	ap := anon.DefaultParams()
-	ap.Seed = d.Cfg.Seed
-	ap.Trials = 60000
-	for _, net := range nets {
-		pts := anon.Sweep(net.g, counts, ap)
-		s := Series{Name: "anon-" + net.name}
-		for _, p := range pts {
-			s.X = append(s.X, float64(p.Compromised))
-			s.Y = append(s.Y, p.Probability)
-		}
-		f.Series = append(f.Series, s)
 	}
 	f.Notes = append(f.Notes,
 		"paper 19a: our model within ~3% of Google+ at 200k compromised; Zhel ~4x worse (12.5% error)",

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gplus"
 	"repro/internal/likelihood"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/san"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -64,20 +65,22 @@ func getModels(cfg Config) *modelSANs {
 	m := &modelSANs{}
 	p := core.NewDefaultParams(cfg.ModelT)
 	p.Seed = cfg.Seed
-	m.ours = core.Generate(p)
-
 	pa := p
 	pa.Attachment = core.AttachPA
-	m.noLAPA = core.Generate(pa)
-
 	nf := p
 	nf.Closing = core.CloseRR
 	nf.FocalWeight = 0
-	m.noFocal = core.Generate(nf)
-
 	zp := zhel.NewDefaultParams(cfg.ModelT)
 	zp.Seed = cfg.Seed
-	m.zhel = zhel.Generate(zp)
+	// Each generator is seeded on its own, so the four run at once;
+	// For bounds how many are in flight, and so their scratch.
+	gens := []func(){
+		func() { m.ours = core.Generate(p) },
+		func() { m.noLAPA = core.Generate(pa) },
+		func() { m.noFocal = core.Generate(nf) },
+		func() { m.zhel = zhel.Generate(zp) },
+	}
+	par.For(len(gens), func(i int) { gens[i]() })
 	modelCache[cfg] = m
 	return m
 }
@@ -198,17 +201,19 @@ func Fig16(d *Dataset) Figure {
 			pmfSeries("zhel-attr-social", zAsd),
 		},
 	}
-	for _, c := range []struct {
+	fits := []struct {
 		name string
 		data []int
+		sel  stats.BestFit
 	}{
-		{"ours-outdeg", oOut}, {"ours-indeg", oIn}, {"ours-attrdeg", oAd},
-		{"zhel-outdeg", zOut}, {"zhel-indeg", zIn}, {"zhel-attrdeg", zAd},
-	} {
-		sel := stats.SelectModel(c.data)
+		{name: "ours-outdeg", data: oOut}, {name: "ours-indeg", data: oIn}, {name: "ours-attrdeg", data: oAd},
+		{name: "zhel-outdeg", data: zOut}, {name: "zhel-indeg", data: zIn}, {name: "zhel-attrdeg", data: zAd},
+	}
+	par.For(len(fits), func(i int) { fits[i].sel = stats.SelectModel(fits[i].data) })
+	for _, c := range fits {
 		f.Notes = append(f.Notes, fmt.Sprintf("%-16s winner=%-12s ln(mu=%.2f sg=%.2f KS=%.3f) pl(alpha=%.2f KS=%.3f)",
-			c.name, sel.Winner, sel.Lognormal.Mu, sel.Lognormal.Sigma, sel.Lognormal.KS,
-			sel.PowerLaw.Alpha, sel.PowerLaw.KS))
+			c.name, c.sel.Winner, c.sel.Lognormal.Mu, c.sel.Lognormal.Sigma, c.sel.Lognormal.KS,
+			c.sel.PowerLaw.Alpha, c.sel.PowerLaw.KS))
 	}
 	for _, c := range []struct {
 		name string

@@ -3,8 +3,13 @@ package hll
 import (
 	"sort"
 
+	"repro/internal/par"
 	"repro/internal/san"
 )
+
+// sweepRange is the number of nodes in one range of the parallel
+// HyperANF sweep; ranges of uneven degree balance out over workers.
+const sweepRange = 1024
 
 // NeighborhoodFunction holds the HyperANF output: N[t] estimates the
 // number of ordered pairs (u, v) with a directed path from u to v of
@@ -34,6 +39,11 @@ type Options struct {
 // out-neighbors that changed, and only changed counters are copied back
 // and re-estimated.  Per-node estimates are summed in node order, so
 // each N[t] has the bits a full recount would give.
+//
+// The sweep runs contiguous node ranges on every core: a node writes
+// only its own next counter and estimate, and reads cur and changed.
+// The copy-back and the sum run after the join, in node order, so the
+// result does not depend on GOMAXPROCS.
 func HyperANF(g *san.SAN, opt Options) NeighborhoodFunction {
 	p := opt.Precision
 	if p == 0 {
@@ -62,31 +72,39 @@ func HyperANF(g *san.SAN, opt Options) NeighborhoodFunction {
 	for u := range changed {
 		changed[u] = true
 	}
-	dirty := make([]int32, 0, n) // counters changed in this round
+	// dirty[r] lists, in node order, the counters of range r that grew
+	// this round.
+	dirty := make([][]int32, (n+sweepRange-1)/sweepRange)
 	nf := NeighborhoodFunction{N: []float64{sumFloats(est)}}
 	for iter := 0; iter < maxIter; iter++ {
-		dirty = dirty[:0]
-		for u := 0; u < n; u++ {
-			dst := next[u*w : (u+1)*w]
-			grew := false
-			for _, v := range g.Out(san.NodeID(u)) {
-				if changed[v] && unionWords(dst, cur[int(v)*w:(int(v)+1)*w]) {
-					grew = true
+		par.For(len(dirty), func(r int) {
+			d := dirty[r][:0]
+			for u := r * sweepRange; u < min((r+1)*sweepRange, n); u++ {
+				dst := next[u*w : (u+1)*w]
+				grew := false
+				for _, v := range g.Out(san.NodeID(u)) {
+					if changed[v] && unionWords(dst, cur[int(v)*w:(int(v)+1)*w]) {
+						grew = true
+					}
+				}
+				if grew {
+					d = append(d, int32(u))
+					est[u] = estimateWords(dst, p)
 				}
 			}
-			if grew {
-				dirty = append(dirty, int32(u))
-			}
-		}
+			dirty[r] = d
+		})
 		clear(changed)
-		for _, u := range dirty {
-			c := cur[int(u)*w : (int(u)+1)*w]
-			copy(c, next[int(u)*w:(int(u)+1)*w])
-			est[u] = estimateWords(c, p)
-			changed[u] = true
+		grown := 0
+		for _, d := range dirty {
+			for _, u := range d {
+				copy(cur[int(u)*w:(int(u)+1)*w], next[int(u)*w:(int(u)+1)*w])
+				changed[u] = true
+			}
+			grown += len(d)
 		}
 		nf.N = append(nf.N, sumFloats(est))
-		if len(dirty) == 0 {
+		if grown == 0 {
 			break
 		}
 	}

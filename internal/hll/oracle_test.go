@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -276,6 +277,115 @@ func TestHyperANFPanicsOutOfRange(t *testing.T) {
 				}
 			}()
 			HyperANF(chain(3), Options{Precision: p})
+		}()
+	}
+}
+
+// serialHyperANF is HyperANF with its sweep over the nodes as a single
+// range on the caller's goroutine, the reference for the parallel
+// sweep.
+func serialHyperANF(g *san.SAN, opt Options) NeighborhoodFunction {
+	p := opt.Precision
+	if p == 0 {
+		p = 8
+	}
+	n := g.NumSocial()
+	w := wordsPer(p)
+	cur := make([]uint64, n*w)
+	est := make([]float64, n)
+	for u := 0; u < n; u++ {
+		addWords(cur[u*w:(u+1)*w], p, Hash(uint64(u), opt.Seed))
+		est[u] = estimateWords(cur[u*w:(u+1)*w], p)
+	}
+	next := append([]uint64(nil), cur...)
+	maxIter := opt.MaxIter
+	if maxIter <= 0 {
+		maxIter = 32
+		for s := n; s > 1; s >>= 1 {
+			maxIter += 3
+		}
+	}
+	changed := make([]bool, n)
+	for u := range changed {
+		changed[u] = true
+	}
+	dirty := make([]int32, 0, n)
+	nf := NeighborhoodFunction{N: []float64{sumFloats(est)}}
+	for iter := 0; iter < maxIter; iter++ {
+		dirty = dirty[:0]
+		for u := 0; u < n; u++ {
+			dst := next[u*w : (u+1)*w]
+			grew := false
+			for _, v := range g.Out(san.NodeID(u)) {
+				if changed[v] && unionWords(dst, cur[int(v)*w:(int(v)+1)*w]) {
+					grew = true
+				}
+			}
+			if grew {
+				dirty = append(dirty, int32(u))
+			}
+		}
+		clear(changed)
+		for _, u := range dirty {
+			c := cur[int(u)*w : (int(u)+1)*w]
+			copy(c, next[int(u)*w:(int(u)+1)*w])
+			est[u] = estimateWords(c, p)
+			changed[u] = true
+		}
+		nf.N = append(nf.N, sumFloats(est))
+		if len(dirty) == 0 {
+			break
+		}
+	}
+	return nf
+}
+
+// TestHyperANFMatchesSerial pins the range-parallel sweep to the
+// single-range one bit for bit at GOMAXPROCS 1, 2 and 3, on graphs
+// whose ranges split a chain, a cycle and runs of isolated nodes.
+func TestHyperANFMatchesSerial(t *testing.T) {
+	cycle := func() *san.SAN {
+		// Isolated nodes, then a cycle crossing two range boundaries,
+		// then more isolated nodes: two components plus singletons.
+		n := 3*sweepRange + 5
+		g := san.New(n, 0, 0)
+		g.AddSocialNodes(n)
+		lo, hi := sweepRange/2, 5*sweepRange/2
+		for u := lo; u < hi; u++ {
+			g.AddSocialEdge(san.NodeID(u), san.NodeID(u+1))
+		}
+		g.AddSocialEdge(san.NodeID(hi), san.NodeID(lo))
+		return g
+	}
+	p := core.NewDefaultParams(3 * sweepRange)
+	p.Seed = 4
+	graphs := []struct {
+		name string
+		g    *san.SAN
+	}{
+		{"empty", san.New(0, 0, 0)},
+		{"one node", chain(1)},
+		{"odd chain", chain(2*sweepRange + 1)},
+		{"isolated", func() *san.SAN { g := san.New(0, 0, 0); g.AddSocialNodes(sweepRange + 7); return g }()},
+		{"cycle", cycle()},
+		{"random SAN", core.Generate(p)},
+	}
+	for _, procs := range []int{1, 2, 3} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, tc := range graphs {
+				for _, opt := range []Options{{Precision: 6, Seed: 3}, {Precision: 8, Seed: 1, MaxIter: 3}} {
+					got, want := HyperANF(tc.g, opt).N, serialHyperANF(tc.g, opt).N
+					if len(got) != len(want) {
+						t.Fatalf("procs %d %s %+v: %d rounds, serial %d", procs, tc.name, opt, len(got), len(want))
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("procs %d %s %+v: N[%d] = %v, serial %v", procs, tc.name, opt, i, got[i], want[i])
+						}
+					}
+				}
+			}
 		}()
 	}
 }

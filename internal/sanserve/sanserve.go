@@ -35,6 +35,7 @@
 package sanserve
 
 import (
+	"cmp"
 	"context"
 	"encoding/gob"
 	"encoding/json"
@@ -52,6 +53,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/san"
 	"repro/internal/scenario"
 	"repro/internal/snapstore"
@@ -92,7 +94,9 @@ type Options struct {
 	// admission gate).  Excess cold requests are shed with 429 +
 	// Retry-After instead of queueing behind the driver pool, so
 	// cached traffic stays fast under cold bursts.  0 = unlimited
-	// (admissions are still counted for the builds_* metrics).
+	// (admissions are still counted for the builds_* metrics).  One
+	// admitted build may use every core: the dataset fold and the
+	// model figures fan their independent work out to GOMAXPROCS.
 	MaxBuilds int
 
 	// RetryAfter is the Retry-After hint attached to shed responses
@@ -319,35 +323,41 @@ func (s *Server) buildMount(name string, full, view *snapstore.Timeline, run *sc
 	return m, nil
 }
 
-// recordDays walks full, then view unless it is full, through a
-// cursor that decodes every delta, and returns each day's stream
-// summary.  A decode error names the timeline's role.
+// recordDays walks full and, unless it is full, view through cursors
+// that decode every delta, and returns each day's stream summary.  The
+// two walks run concurrently.  A decode error names the timeline's
+// role; when both walks fail, the full walk's error is returned.
 func recordDays(full, view *snapstore.Timeline) ([]StreamRecord, error) {
-	rows := make([]StreamRecord, full.NumDays())
-	for i, tl := range []*snapstore.Timeline{full, view} {
-		if i > 0 && tl == full {
-			break
-		}
+	walk := func(tl *snapstore.Timeline, role string) ([]StreamRecord, error) {
 		cur, err := snapstore.OpenCursorN([]*snapstore.Timeline{tl})
 		if err != nil {
 			return nil, err
 		}
+		rows := make([]StreamRecord, tl.NumDays())
 		for {
 			day, gs, ds, err := cur.Next(context.Background())
 			if err == snapstore.ErrDone {
-				break
+				return rows, nil
 			}
 			if err != nil {
-				return nil, fmt.Errorf("%s timeline: %w", [...]string{"full", "view"}[i], err)
+				return nil, fmt.Errorf("%s timeline: %w", role, err)
 			}
-			fr := rows[day]
 			rows[day] = dayRecord(day+1, ds[0], gs[0])
-			if i > 0 { // the view walk keeps the full delta's growth counts
-				rows[day].NewNodes, rows[day].NewSocialLinks = fr.NewNodes, fr.NewSocialLinks
-			}
 		}
 	}
-	return rows, nil
+	if view == full {
+		return walk(full, "full")
+	}
+	var rows, vrows []StreamRecord
+	var err, verr error
+	par.Do(func() { rows, err = walk(full, "full") }, func() { vrows, verr = walk(view, "view") })
+	if err := cmp.Or(err, verr); err != nil {
+		return nil, err
+	}
+	for day := range vrows { // the view rows keep the full delta's growth counts
+		vrows[day].NewNodes, vrows[day].NewSocialLinks = rows[day].NewNodes, rows[day].NewSocialLinks
+	}
+	return vrows, nil
 }
 
 // MountFiles loads and mounts timeline files from disk.

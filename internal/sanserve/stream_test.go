@@ -580,7 +580,8 @@ func flipDayTag(t *testing.T, tl *snapstore.Timeline, day int) *snapstore.Timeli
 // TestMountRejectsCorruptDay pins mount-time validation: the walk that
 // records the stream summaries still decodes every delta of both
 // timelines, so a bit-flipped day in either role fails Mount with an
-// error naming the role and the day, and the mount is never listed.
+// error naming the role and the day (the full role when both are
+// corrupt), and the mount is never listed.
 func TestMountRejectsCorruptDay(t *testing.T) {
 	full, view := testTimelines(t)
 	const day = 5
@@ -590,6 +591,8 @@ func TestMountRejectsCorruptDay(t *testing.T) {
 	}{
 		{"full timeline", flipDayTag(t, full, day), view},
 		{"view timeline", full, flipDayTag(t, view, day)},
+		// Both walks fail: the full walk's error is the one reported.
+		{"full timeline", flipDayTag(t, full, day), flipDayTag(t, view, day)},
 	} {
 		s := New(Options{Cfg: testConfig()})
 		err := s.Mount("bad", c.full, c.view)
