@@ -269,7 +269,7 @@ func BenchmarkClusteringSampled(b *testing.B) {
 	k := metrics.SampleSize(0.01, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.AverageSocialClustering(g, k, rng)
+		metrics.AverageSocialClustering(g, k, rng, (*san.SAN).SocialNeighbors)
 	}
 }
 

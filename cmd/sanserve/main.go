@@ -6,30 +6,32 @@
 //	sanserve -mount gplus=full.tl,view.tl [-addr :8766] [-cache 256] [-snapcache 8]
 //	sanserve -workspace ws                      (a `sangen sweep` output directory)
 //	sanserve -mount gplus=full.tl -audit audit.ndjson -pprof :6060
-//	sanserve -mount gplus=full.tl -loadgen -fig 2 -c 32 -dur 3s
 //
-// Serving mode mounts each timeline pair and answers
-// /v1/figures/{id}, /v1/compare/{id}, /v1/timelines, /v1/scenarios,
-// /v1/snapshots/{day}/stats, /healthz and /metrics until
-// SIGINT/SIGTERM, then drains in-flight requests (and the async
-// analytics pipeline) and exits.  A -workspace directory mounts every
-// scenario run from its manifest in one flag; -reload-interval polls
-// that manifest and hot-swaps changed scenarios without a restart
-// (POST /v1/admin/reload forces a reload immediately), and
-// -max-builds bounds concurrent uncached figure builds, shedding
-// excess cold requests with 429 + Retry-After.
+// sanserve mounts each timeline pair and answers /v1/figures/{id},
+// /v1/compare/{id}, /v1/stream/{timeline}, /v1/timelines,
+// /v1/scenarios, /v1/snapshots/{day}/stats, /healthz and /metrics
+// until SIGINT/SIGTERM, then ends in-flight streams with a terminal
+// error record, drains in-flight requests and the async analytics
+// pipeline, and exits 0.  A -workspace directory mounts every scenario
+// run from its manifest in one flag; -reload-interval polls that
+// manifest and hot-swaps changed scenarios without a restart (POST
+// /v1/admin/reload forces a reload immediately), and -max-builds
+// bounds concurrent uncached figure builds, shedding excess cold
+// requests with 429 + Retry-After.  -addr 127.0.0.1:0 picks a free
+// port; the "listening" log line names the bound address.
+//
+// Exit codes: 0 after a clean shutdown or -h, 1 when a timeline, the
+// workspace, the audit file or the listener fails, and 2 for a usage
+// error (bad flag value, no mount, -reload-interval without
+// -workspace), reported before anything is mounted.
 //
 // Observability: requests are logged structurally (log/slog, -log
 // text|json) with per-request IDs; -audit FILE streams one NDJSON
 // audit row per request through the non-blocking analytics recorder;
 // /metrics exposes per-endpoint latency histograms with p50/p95/p99
 // gauges; -pprof ADDR serves net/http/pprof on a separate mux/port so
-// profiling is never exposed on the public listener.
-//
-// Loadgen mode skips the listener entirely: it drives the handler
-// in-process with -c concurrent workers for -dur and prints the
-// cached-request throughput with latency percentiles; -dump-metrics
-// appends the final /metrics page.
+// profiling is never exposed on the public listener.  Load and latency
+// are measured by perfbench's hot-serve workload against this server.
 package main
 
 import (
@@ -37,9 +39,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/http/pprof"
 	"os"
 	"os/signal"
@@ -58,30 +61,34 @@ type mountFlag struct {
 }
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run parses args, mounts the timelines and serves until ctx is
+// canceled, then drains and returns the exit code.  Logs, usage and
+// flag errors go to stderr; the server writes nothing else.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sanserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr        = flag.String("addr", ":8766", "listen address")
-		workspace   = flag.String("workspace", "", "scenario-sweep workspace directory to mount (see `sangen sweep`)")
-		reloadEvery = flag.Duration("reload-interval", 0, "poll the workspace manifest and hot-reload changed scenarios at this interval (0 = only POST /v1/admin/reload)")
-		maxBuilds   = flag.Int("max-builds", 0, "max concurrent uncached figure builds; excess cold requests get 429 + Retry-After (0 = unlimited)")
-		cache       = flag.Int("cache", 256, "figure result cache entries")
-		snapcache   = flag.Int("snapcache", 8, "reconstructed snapshots cached per mounted timeline")
-		quick       = flag.Bool("quick", false, "quick experiment config for model figures")
-		seed        = flag.Uint64("seed", 0, "override experiment seed")
-		logFormat   = flag.String("log", "text", "structured log format: text or json")
-		verbose     = flag.Bool("v", false, "log at debug level")
-		auditPath   = flag.String("audit", "", "append per-request NDJSON audit rows to this file")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. :6060)")
-		loadgen     = flag.Bool("loadgen", false, "run the in-process load generator instead of serving")
-		stream      = flag.Bool("stream", false, "loadgen: drive /v1/stream walks instead of figure requests (reports rows/s)")
-		fig         = flag.String("fig", "2", "loadgen: figure ID to request")
-		conc        = flag.Int("c", 32, "loadgen: concurrent workers")
-		dur         = flag.Duration("dur", 3*time.Second, "loadgen: run duration")
-		dumpMetrics = flag.Bool("dump-metrics", false, "loadgen: print the final /metrics page after the run")
-		paths       = flag.String("paths", "", "loadgen: comma-separated request paths cycled round-robin (overrides -fig; only the first is cache-warmed)")
-		p99Bound    = flag.Duration("p99-bound", 0, "loadgen: fail if the first path's p99 latency exceeds this bound (0 = no bound)")
+		addr        = fs.String("addr", ":8766", "listen address (port 0 picks a free port)")
+		workspace   = fs.String("workspace", "", "scenario-sweep workspace directory to mount (see `sangen sweep`)")
+		reloadEvery = fs.Duration("reload-interval", 0, "poll the workspace manifest and hot-reload changed scenarios at this interval (0 = only POST /v1/admin/reload)")
+		maxBuilds   = fs.Int("max-builds", 0, "max concurrent uncached figure builds; excess cold requests get 429 + Retry-After (0 = unlimited)")
+		cache       = fs.Int("cache", 256, "figure result cache entries")
+		snapcache   = fs.Int("snapcache", 8, "reconstructed snapshots cached per mounted timeline")
+		quick       = fs.Bool("quick", false, "quick experiment config for model figures")
+		seed        = fs.Uint64("seed", 0, "override experiment seed")
+		logFormat   = fs.String("log", "text", "structured log format: text or json")
+		verbose     = fs.Bool("v", false, "log at debug level")
+		auditPath   = fs.String("audit", "", "append per-request NDJSON audit rows to this file")
+		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this separate address (e.g. :6060)")
 	)
 	var mounts []mountFlag
-	flag.Func("mount", "timeline mount as name=full.tl[,view.tl] (repeatable)", func(v string) error {
+	fs.Func("mount", "timeline mount as name=full.tl[,view.tl] (repeatable)", func(v string) error {
 		name, paths, ok := strings.Cut(v, "=")
 		if !ok || name == "" || paths == "" {
 			return fmt.Errorf("want name=full.tl[,view.tl], got %q", v)
@@ -90,18 +97,31 @@ func main() {
 		mounts = append(mounts, mountFlag{name: name, full: full, view: view})
 		return nil
 	})
-	flag.Parse()
-	if len(mounts) == 0 && *workspace == "" {
-		fmt.Fprintln(os.Stderr, "sanserve: at least one -mount name=full.tl[,view.tl] or -workspace DIR is required")
-		fmt.Fprintln(os.Stderr, "          (produce timelines with: sanstore pack -out full.tl, or a workspace with: sangen sweep)")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usageErr := func(msg string) int {
+		fmt.Fprintln(stderr, "sanserve:", msg)
+		return 2
+	}
+	switch {
+	case len(mounts) == 0 && *workspace == "":
+		return usageErr("at least one -mount name=full.tl[,view.tl] or -workspace DIR is required\n" +
+			"          (produce timelines with: sanstore pack -out full.tl, or a workspace with: sangen sweep)")
+	case *logFormat != "text" && *logFormat != "json":
+		return usageErr(fmt.Sprintf("-log must be text or json, got %q", *logFormat))
+	case *reloadEvery > 0 && *workspace == "":
+		return usageErr("-reload-interval requires -workspace")
 	}
 
 	level := slog.LevelInfo
 	if *verbose {
 		level = slog.LevelDebug
 	}
-	logger := obs.NewLogger(os.Stderr, *logFormat, level)
+	logger := obs.NewLogger(stderr, *logFormat, level)
 
 	cfg := experiments.DefaultConfig()
 	if *quick {
@@ -110,8 +130,6 @@ func main() {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-
-	var auditFile *os.File
 	opts := sanserve.Options{
 		Cfg:           cfg,
 		CacheEntries:  *cache,
@@ -123,104 +141,32 @@ func main() {
 		f, err := os.OpenFile(*auditPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			logger.Error("opening audit sink", "err", err)
-			os.Exit(1)
+			return 1
 		}
-		auditFile = f
+		defer f.Close()
 		opts.AuditSink = f
 	}
 
+	// Close drains the analytics pipeline into the audit file, so it
+	// runs before the file's deferred Close; it is idempotent.
 	srv := sanserve.New(opts)
+	defer srv.Close()
 	if *workspace != "" {
 		if err := srv.MountWorkspace(*workspace); err != nil {
 			logger.Error("mounting workspace", "workspace", *workspace, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		logger.Info("mounted scenario workspace", "workspace", *workspace)
 	}
 	for _, m := range mounts {
 		if err := srv.MountFiles(m.name, m.full, m.view); err != nil {
 			logger.Error("mounting timeline", "name", m.name, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		logger.Info("mounted timeline", "name", m.name, "full", m.full, "view", orSame(m.view))
 	}
 
-	// close drains the analytics pipeline and syncs the audit file;
-	// both exits (loadgen and serving) go through it.
-	closeAll := func() {
-		srv.Close()
-		if auditFile != nil {
-			auditFile.Close()
-		}
-	}
-
-	if *loadgen && *stream {
-		path := ""
-		switch {
-		case *paths != "":
-			path = strings.TrimSpace(strings.Split(*paths, ",")[0])
-		case len(mounts) > 0:
-			path = "/v1/stream/" + mounts[0].name
-		}
-		if path == "" {
-			logger.Error("loadgen -stream needs an explicit -mount or -paths")
-			os.Exit(1)
-		}
-		logger.Info("stream loadgen starting", "path", path, "workers", *conc, "duration", *dur)
-		report := sanserve.LoadGenStream(srv.Handler(), path, *conc, *dur)
-		fmt.Println(report)
-		closeAll()
-		if report.Errors > 0 || report.Streams == 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *loadgen {
-		var reqPaths []string
-		if *paths != "" {
-			for _, p := range strings.Split(*paths, ",") {
-				if p = strings.TrimSpace(p); p != "" {
-					reqPaths = append(reqPaths, p)
-				}
-			}
-		} else if len(mounts) > 0 {
-			reqPaths = []string{fmt.Sprintf("/v1/figures/%s?timeline=%s", *fig, mounts[0].name)}
-		}
-		if len(reqPaths) == 0 {
-			logger.Error("loadgen needs an explicit -mount or -paths")
-			os.Exit(1)
-		}
-		logger.Info("loadgen starting", "paths", strings.Join(reqPaths, ","), "workers", *conc, "duration", *dur)
-		report := sanserve.LoadGenPaths(srv.Handler(), reqPaths, *conc, *dur)
-		fmt.Println(report)
-		for _, ps := range report.PerPath {
-			fmt.Printf("  path %s: %d requests, %d errors, %d shed (p50 %v, p95 %v, p99 %v)\n",
-				ps.Path, ps.Requests, ps.Errors, ps.Shed, ps.P50, ps.P95, ps.P99)
-		}
-		if *dumpMetrics {
-			srv.Analytics().Drain()
-			rec := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-			fmt.Print(rec.Body.String())
-		}
-		closeAll()
-		if report.Errors > 0 {
-			os.Exit(1)
-		}
-		if *p99Bound > 0 && report.PerPath[0].P99 > *p99Bound {
-			logger.Error("cached-path p99 exceeds bound",
-				"path", report.PerPath[0].Path, "p99", report.PerPath[0].P99, "bound", *p99Bound)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *reloadEvery > 0 {
-		if *workspace == "" {
-			logger.Error("-reload-interval requires -workspace")
-			os.Exit(1)
-		}
 		stopWatch := srv.WatchWorkspace(*reloadEvery)
 		defer stopWatch()
 		logger.Info("workspace watcher started", "interval", *reloadEvery)
@@ -235,31 +181,29 @@ func main() {
 		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		psrv := &http.Server{Addr: *pprofAddr, Handler: pmux, ReadHeaderTimeout: 5 * time.Second}
+		defer psrv.Close()
 		go func() {
 			logger.Info("pprof listening", "addr", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, pmux); err != nil {
+			if err := psrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("pprof listener failed", "err", err)
 			}
 		}()
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("listener failed", "err", err)
+		return 1
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	errc := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", *addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
+	go func() { errc <- httpSrv.Serve(ln) }()
+	logger.Info("listening", "addr", ln.Addr().String())
 	select {
 	case err := <-errc:
 		logger.Error("listener failed", "err", err)
-		os.Exit(1)
+		return 1
 	case <-ctx.Done():
 	}
 	logger.Info("shutting down, draining in-flight requests")
@@ -274,10 +218,11 @@ func main() {
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("shutdown", "err", err)
 	}
-	closeAll()
+	srv.Close()
 	logger.Info("bye",
 		"analytics_recorded", srv.Analytics().Recorded(),
 		"analytics_dropped", srv.Analytics().Dropped())
+	return 0
 }
 
 func orSame(view string) string {

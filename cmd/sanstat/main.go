@@ -80,7 +80,7 @@ func report(w io.Writer, g *san.SAN, seed uint64, diameter bool) {
 	fmt.Fprintf(w, "attribute density %.3f\n", g.AttrDensity())
 
 	k := metrics.SampleSize(0.005, 100)
-	fmt.Fprintf(w, "social clustering %.4f   (Algorithm 2, K=%d)\n", metrics.AverageSocialClustering(g, k, rng), k)
+	fmt.Fprintf(w, "social clustering %.4f   (Algorithm 2, K=%d)\n", metrics.AverageSocialClustering(g, k, rng, (*san.SAN).SocialNeighbors), k)
 	fmt.Fprintf(w, "attr clustering   %.4f\n", metrics.AverageAttrClustering(g, k, rng))
 	fmt.Fprintf(w, "assortativity     %+.4f\n", metrics.SocialAssortativity(g))
 	fmt.Fprintf(w, "attr assortativity %+.4f\n", metrics.AttrAssortativity(g))

@@ -19,15 +19,17 @@ import (
 // per day, Measure pays for the sampled estimators.  Skipping Measure
 // for a day changes nothing downstream — each day gets its own rng,
 // and the only Measure-side mutation is neighbor-cache memoization,
-// which never changes a served list.  Measure runs its estimators in
-// two concurrent lanes; the cache belongs to the rng lane (the
-// clustering and attribute-diameter estimators) and the other lane
-// never touches it.
+// which never changes a served list: san.NeighborCache stamps each
+// list with its node's degrees, so it follows the append-only graph
+// without any bookkeeping in Feed.  Measure runs its estimators in two
+// concurrent lanes; the cache belongs to the rng lane (the clustering
+// and attribute-diameter estimators) and the other lane never touches
+// it.
 type DayFolder struct {
 	cfg Config
 	soc *metrics.SocialDegreeAccum
 	att *metrics.AttrDegreeAccum
-	nc  *metrics.NeighborCache
+	nc  san.NeighborCache
 }
 
 // NewDayFolder returns a folder positioned before day 0.
@@ -36,7 +38,6 @@ func NewDayFolder(cfg Config) *DayFolder {
 		cfg: cfg,
 		soc: metrics.NewSocialDegreeAccum(),
 		att: metrics.NewAttrDegreeAccum(),
-		nc:  metrics.NewNeighborCache(),
 	}
 }
 
@@ -46,11 +47,8 @@ func NewDayFolder(cfg Config) *DayFolder {
 // both roles.
 func (f *DayFolder) Feed(fd, vd *snapstore.Delta) {
 	f.soc.AddNodes(fd.NewSocial)
-	f.nc.AddNodes(fd.NewSocial)
 	for _, e := range fd.SocialEdges {
 		f.soc.AddEdge(e.U, e.V)
-		f.nc.Invalidate(e.U)
-		f.nc.Invalidate(e.V)
 	}
 	f.att.AddUsers(vd.NewSocial)
 	f.att.AddAttrs(vd.NewAttrs)
@@ -63,7 +61,7 @@ func (f *DayFolder) Feed(fd, vd *snapstore.Delta) {
 // accumulators and the day's evolving graphs.  Call it after Feed for
 // the same day.
 func (f *DayFolder) Measure(day int, full, view *san.SAN) DayMetrics {
-	m := measureDaySampled(f.cfg, day, full, view, f.nc)
+	m := measureDaySampled(f.cfg, day, full, view, f.nc.Neighbors)
 	m.MuOut, m.SigmaOut = stats.LogMomentsHist(f.soc.Out.Counts())
 	m.MuIn, m.SigmaIn = stats.LogMomentsHist(f.soc.In.Counts())
 	m.MuAttrDeg, m.SigmaAttrDeg = stats.LogMomentsHist(f.att.User.Counts())

@@ -359,14 +359,15 @@ func measureTimelines(ds *Dataset) error {
 // edge-sweep estimators, which run against the day's graph with a
 // per-day rng.  The rng consumption order (social clustering, then
 // attribute clustering, then the attribute diameter) is part of the
-// determinism contract with the test oracle.  nc, when non-nil,
-// serves the social clustering estimator cached neighbor lists; the
-// estimate is identical either way.
+// determinism contract with the test oracle.  neighbors is the social
+// clustering estimator's neighbor source; the estimate is the same for
+// every source that returns lists in SocialNeighbors order.
 //
 // Two concurrent lanes only read the graphs and write their own fields
 // of m: the rng lane (the three rng consumers, in order, and the only
-// user of nc) and the rng-free lane (assortativities, stats, HyperANF).
-func measureDaySampled(cfg Config, day int, full, view *san.SAN, nc *metrics.NeighborCache) DayMetrics {
+// caller of neighbors) and the rng-free lane (assortativities, stats,
+// HyperANF).
+func measureDaySampled(cfg Config, day int, full, view *san.SAN, neighbors func(*san.SAN, san.NodeID) []san.NodeID) DayMetrics {
 	m := DayMetrics{
 		Day:           day,
 		Recip:         full.Reciprocity(),
@@ -379,7 +380,7 @@ func measureDaySampled(cfg Config, day int, full, view *san.SAN, nc *metrics.Nei
 	par.Do(func() {
 		rng := rand.New(rand.NewPCG(cfg.Seed^uint64(day)*0x9b05688c2b3e6c1f, uint64(day)))
 		ccSamples := metrics.SampleSize(0.01, 100) // ε=0.01, ν=100 per day
-		m.CC = socialCC(full, ccSamples, rng, nc)
+		m.CC = metrics.AverageSocialClustering(full, ccSamples, rng, neighbors)
 		m.AttrCC = metrics.AverageAttrClustering(view, ccSamples, rng)
 		if diam {
 			m.DiamAttr = attrDiameter(view, rng)
@@ -394,15 +395,6 @@ func measureDaySampled(cfg Config, day int, full, view *san.SAN, nc *metrics.Nei
 		}
 	})
 	return m
-}
-
-// socialCC dispatches the social clustering estimator through the
-// neighbor cache when one is being maintained.
-func socialCC(g *san.SAN, k int, rng *rand.Rand, nc *metrics.NeighborCache) float64 {
-	if nc != nil {
-		return nc.AverageSocialClustering(g, k, rng)
-	}
-	return metrics.AverageSocialClustering(g, k, rng)
 }
 
 // attrDiameter estimates the effective attribute diameter by sampling

@@ -60,7 +60,7 @@ func sameDayMetrics(a, b DayMetrics) error {
 // fold's accumulators.  stats.LogMomentsHist and stats.FitPowerLawHist
 // guarantee the two agree bitwise.
 func measureDay(cfg Config, day int, full, view *san.SAN) DayMetrics {
-	m := measureDaySampled(cfg, day, full, view, nil)
+	m := measureDaySampled(cfg, day, full, view, (*san.SAN).SocialNeighbors)
 	m.MuOut, m.SigmaOut = stats.LogMoments(metrics.OutDegrees(full))
 	m.MuIn, m.SigmaIn = stats.LogMoments(metrics.InDegrees(full))
 	m.MuAttrDeg, m.SigmaAttrDeg = stats.LogMoments(metrics.AttrDegrees(view))

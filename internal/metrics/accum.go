@@ -1,19 +1,14 @@
 package metrics
 
-import (
-	"math/rand/v2"
-
-	"repro/internal/san"
-)
+import "repro/internal/san"
 
 // This file holds the incremental side of the measurement suite: exact
 // accumulators that advance from one day's delta in O(new links)
-// instead of re-extracting O(|V| + |E|) state per day, and a neighbor
-// cache that serves the sampled clustering estimator the same neighbor
-// lists it would otherwise rebuild per sample.  Every consumer answers
-// exactly the values its batch counterpart computes on the same graph
-// (the histograms feed stats.LogMomentsHist / stats.FitPowerLawHist,
-// whose summation order matches the batch entry points bitwise).
+// instead of re-extracting O(|V| + |E|) state per day.  Every
+// accumulator answers exactly the values its batch counterpart
+// computes on the same graph (the histograms feed
+// stats.LogMomentsHist / stats.FitPowerLawHist, whose summation order
+// matches the batch entry points bitwise).
 
 // DegreeHist is an exact integer histogram of node degrees: Counts()[k]
 // is the number of nodes currently at degree k.  The zero value is an
@@ -112,61 +107,4 @@ func (a *AttrDegreeAccum) AddLink(u san.NodeID, at san.AttrID) {
 	a.userDeg[u]++
 	a.Attr.Move(int(a.memberDeg[at]), int(a.memberDeg[at])+1)
 	a.memberDeg[at]++
-}
-
-// NeighborCache memoizes SocialNeighbors lists across the days of a
-// fold.  A node's entry stays valid until an incident edge arrives
-// (Invalidate), so between days only the touched fraction of the graph
-// is rebuilt — the sampled clustering estimator then reads each list
-// in O(1) instead of re-deriving it per sample.
-//
-// Cached lists are exactly what san.SAN.SocialNeighbors returns (same
-// content, same order), so estimators driven by a cache consume their
-// rng streams identically and produce identical values.
-type NeighborCache struct {
-	lists [][]san.NodeID
-	valid []bool
-}
-
-// NewNeighborCache returns an empty cache.
-func NewNeighborCache() *NeighborCache { return &NeighborCache{} }
-
-// AddNodes extends the cache for n new social nodes.
-func (c *NeighborCache) AddNodes(n int) {
-	for i := 0; i < n; i++ {
-		c.lists = append(c.lists, nil)
-		c.valid = append(c.valid, false)
-	}
-}
-
-// Invalidate drops the cached list of u (both endpoints of a new edge
-// change: the source gains an out-neighbor and the target an
-// in-neighbor, and even a neighbor already present in the other
-// direction changes position in the rebuilt list).
-func (c *NeighborCache) Invalidate(u san.NodeID) { c.valid[u] = false }
-
-// Neighbors returns Γs(u) for the cached graph, rebuilding on demand.
-func (c *NeighborCache) Neighbors(g *san.SAN, u san.NodeID) []san.NodeID {
-	if !c.valid[u] {
-		c.lists[u] = g.SocialNeighbors(u)
-		c.valid[u] = true
-	}
-	return c.lists[u]
-}
-
-// AverageSocialClustering is the Algorithm 2 estimator of §3.4 driven
-// through the cache: it draws the same samples as the package-level
-// AverageSocialClustering (identical rng consumption) and returns the
-// identical estimate, paying O(1) per sample for neighbor lists.
-func (c *NeighborCache) AverageSocialClustering(g *san.SAN, k int, rng *rand.Rand) float64 {
-	n := g.NumSocial()
-	if n == 0 || k <= 0 {
-		return 0
-	}
-	total := 0
-	for i := 0; i < k; i++ {
-		u := san.NodeID(rng.IntN(n))
-		total += sampleTriple(g, c.Neighbors(g, u), rng)
-	}
-	return float64(total) / float64(2*k)
 }

@@ -7,8 +7,9 @@ import (
 	"repro/internal/san"
 )
 
-// growRandomSAN evolves a small SAN while feeding every event to the
-// accumulators and cache, interleaving growth with checkpoints.
+// TestAccumulatorsMatchBatchExtraction evolves a small SAN while feeding
+// every event to the accumulators, checking them against batch
+// extraction after each round.
 func TestAccumulatorsMatchBatchExtraction(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 32))
 	g := san.New(0, 0, 0)
@@ -82,56 +83,27 @@ func TestAccumulatorsMatchBatchExtraction(t *testing.T) {
 	}
 }
 
-// TestNeighborCacheClusteringParity drives the cached clustering
-// estimator and the batch one with identical rngs over an evolving
-// graph: estimates must agree bitwise on every day, which also pins
-// the rng consumption pattern.
+// TestNeighborCacheClusteringParity drives the clustering estimator
+// through one long-lived san.NeighborCache and through the uncached
+// SocialNeighbors source with identical rngs over a growing graph: the
+// cache is never told about new edges, yet the estimates must agree
+// bitwise on every day, which also pins the rng consumption pattern.
 func TestNeighborCacheClusteringParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 42))
 	g := san.New(0, 0, 0)
-	nc := NewNeighborCache()
+	var nc san.NeighborCache
 	const k = 500
 	for day := 0; day < 15; day++ {
-		newNodes := 5 + rng.IntN(30)
-		g.AddSocialNodes(newNodes)
-		nc.AddNodes(newNodes)
+		g.AddSocialNodes(5 + rng.IntN(30))
 		n := g.NumSocial()
 		for i := 0; i < 60; i++ {
-			u, v := san.NodeID(rng.IntN(n)), san.NodeID(rng.IntN(n))
-			if g.AddSocialEdge(u, v) {
-				nc.Invalidate(u)
-				nc.Invalidate(v)
-			}
+			g.AddSocialEdge(san.NodeID(rng.IntN(n)), san.NodeID(rng.IntN(n)))
 		}
 		seed := uint64(day)*77 + 1
-		a := AverageSocialClustering(g, k, rand.New(rand.NewPCG(seed, 9)))
-		b := nc.AverageSocialClustering(g, k, rand.New(rand.NewPCG(seed, 9)))
+		a := AverageSocialClustering(g, k, rand.New(rand.NewPCG(seed, 9)), (*san.SAN).SocialNeighbors)
+		b := AverageSocialClustering(g, k, rand.New(rand.NewPCG(seed, 9)), nc.Neighbors)
 		if a != b {
-			t.Fatalf("day %d: batch clustering %v != cached %v", day, a, b)
+			t.Fatalf("day %d: uncached clustering %v != cached %v", day, a, b)
 		}
-	}
-}
-
-// TestNeighborCacheStaleWithoutInvalidate documents the contract: a
-// missing Invalidate serves stale lists, so the fold must invalidate
-// both endpoints of every new edge.
-func TestNeighborCacheStaleWithoutInvalidate(t *testing.T) {
-	g := san.New(0, 0, 0)
-	g.AddSocialNodes(3)
-	nc := NewNeighborCache()
-	nc.AddNodes(3)
-	g.AddSocialEdge(0, 1)
-	nc.Invalidate(0)
-	nc.Invalidate(1)
-	if got := nc.Neighbors(g, 0); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("neighbors(0) = %v, want [1]", got)
-	}
-	g.AddSocialEdge(0, 2) // deliberately not invalidated
-	if got := nc.Neighbors(g, 0); len(got) != 1 {
-		t.Fatalf("expected stale cached list, got %v", got)
-	}
-	nc.Invalidate(0)
-	if got := nc.Neighbors(g, 0); len(got) != 2 {
-		t.Fatalf("neighbors(0) after invalidate = %v, want 2 entries", got)
 	}
 }

@@ -135,7 +135,12 @@ func AverageSocialClusteringExact(g *san.SAN) float64 {
 // AverageSocialClustering estimates Cs with Algorithm 2: K uniform
 // triple samples, each scoring F ∈ {0,1,2} for the connectivity of a
 // random neighbor pair of a random node, and C̃ = ΣF / (2K).
-func AverageSocialClustering(g *san.SAN, k int, rng *rand.Rand) float64 {
+//
+// neighbors supplies Γs(u) in SocialNeighbors order: one-shot callers
+// pass (*san.SAN).SocialNeighbors, and a fold over a growing graph
+// passes a long-lived san.NeighborCache's Neighbors.  Any source with
+// that order consumes rng identically and gives the same estimate.
+func AverageSocialClustering(g *san.SAN, k int, rng *rand.Rand, neighbors func(*san.SAN, san.NodeID) []san.NodeID) float64 {
 	n := g.NumSocial()
 	if n == 0 || k <= 0 {
 		return 0
@@ -143,7 +148,7 @@ func AverageSocialClustering(g *san.SAN, k int, rng *rand.Rand) float64 {
 	total := 0
 	for i := 0; i < k; i++ {
 		u := san.NodeID(rng.IntN(n))
-		total += sampleTriple(g, g.SocialNeighbors(u), rng)
+		total += sampleTriple(g, neighbors(g, u), rng)
 	}
 	return float64(total) / float64(2*k)
 }

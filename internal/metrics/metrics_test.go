@@ -80,7 +80,7 @@ func TestSampledClusteringMatchesExact(t *testing.T) {
 		g.AddSocialEdge(san.NodeID(rng.IntN(300)), san.NodeID(rng.IntN(300)))
 	}
 	exact := AverageSocialClusteringExact(g)
-	approx := AverageSocialClustering(g, 200000, rng)
+	approx := AverageSocialClustering(g, 200000, rng, (*san.SAN).SocialNeighbors)
 	if math.Abs(exact-approx) > 0.01 {
 		t.Errorf("sampled clustering %v vs exact %v", approx, exact)
 	}
@@ -340,7 +340,7 @@ func TestAlgorithm2HoeffdingBound(t *testing.T) {
 		exact := AverageSocialClusteringExact(g)
 		// K for ε = 0.05, ν = 100: failures allowed in 1% of runs.
 		k := SampleSize(0.05, 100)
-		approx := AverageSocialClustering(g, k, rng)
+		approx := AverageSocialClustering(g, k, rng, (*san.SAN).SocialNeighbors)
 		return math.Abs(exact-approx) <= 0.06
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {

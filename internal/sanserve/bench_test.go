@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/gplus"
@@ -57,20 +56,6 @@ func BenchmarkCachedFigureRequest(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkLoadGenThroughput runs the package's load generator against
-// the cached figure path and reports requests/second — the acceptance
-// number for the serving layer (target: >=10k cached req/s).
-func BenchmarkLoadGenThroughput(b *testing.B) {
-	h := benchHandler(b)
-	for i := 0; i < b.N; i++ {
-		report := LoadGen(h, "/v1/figures/2", 16, 500*time.Millisecond)
-		if report.Errors > 0 {
-			b.Fatalf("loadgen saw %d errors", report.Errors)
-		}
-		b.ReportMetric(report.QPS(), "req/s")
-	}
 }
 
 // BenchmarkCachedCompareRequest measures one cross-scenario compare

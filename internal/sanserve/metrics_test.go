@@ -206,23 +206,6 @@ func TestRequestPathNeverBlocksUnderOverload(t *testing.T) {
 	}
 }
 
-// TestLoadGenPercentiles pins the loadgen report: percentiles are
-// computed from recorded samples and printed.
-func TestLoadGenPercentiles(t *testing.T) {
-	s := newTestServer(t, Options{})
-	defer s.Close()
-	report := LoadGen(s.Handler(), "/v1/figures/2?timeline=gplus", 2, 50*time.Millisecond)
-	if report.P50 <= 0 || report.P95 < report.P50 || report.P99 < report.P95 {
-		t.Fatalf("percentile ordering: p50 %v p95 %v p99 %v", report.P50, report.P95, report.P99)
-	}
-	str := report.String()
-	for _, want := range []string{"p50", "p95", "p99"} {
-		if !strings.Contains(str, want) {
-			t.Errorf("report missing %s: %s", want, str)
-		}
-	}
-}
-
 // TestStructuredAccessLog pins the slog wiring: one Info line per
 // request with request ID, path and status.
 func TestStructuredAccessLog(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/gplus"
@@ -377,22 +376,5 @@ func TestMountValidation(t *testing.T) {
 	}
 	if rec := get(t, s.Handler(), "/v1/figures/2?timeline=b"); rec.Code != 200 {
 		t.Errorf("explicit timeline: got %d", rec.Code)
-	}
-}
-
-func TestLoadGenSmoke(t *testing.T) {
-	s := newTestServer(t, Options{})
-	report := LoadGen(s.Handler(), "/v1/figures/2?timeline=gplus", 4, 50*time.Millisecond)
-	if report.Requests == 0 {
-		t.Fatal("loadgen made no requests")
-	}
-	if report.Errors != 0 {
-		t.Fatalf("loadgen saw %d errors", report.Errors)
-	}
-	if report.QPS() <= 0 {
-		t.Fatalf("bad report: %+v", report)
-	}
-	if str := report.String(); !strings.Contains(str, "req/s") {
-		t.Errorf("report string: %s", str)
 	}
 }
