@@ -88,11 +88,41 @@ func BenchmarkDatasetBuild(b *testing.B) {
 // back to per-call maps or per-wake neighbor slices trips it.
 const simulateAllocCeiling = 400_000
 
+// simulateBytesCeiling pins the bytes one quick-scale RunTimelines
+// allocates (TestSimulateAllocBytes).  The object count above cannot
+// see a few large allocations: a whole-SAN copy per simulated day
+// costs about 60 MB at this scale but fewer than 2,000 objects.
+const simulateBytesCeiling = 32 << 20
+
+// TestSimulateAllocBytes holds one quick-scale full+view
+// StreamTimelines (through RunTimelines' two Live sinks, as
+// BenchmarkSimulate runs it) to simulateBytesCeiling, so the bytes
+// budget is checked by every go test run, not only under -bench.
+func TestSimulateAllocBytes(t *testing.T) {
+	cfg := gplus.DefaultConfig()
+	cfg.DailyBase = 100
+	cfg.Seed = 1
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if _, _, err := gplus.New(cfg).RunTimelines(nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	n := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("quick-scale RunTimelines allocated %.1f MB (ceiling %.1f MB)", float64(n)/1e6, float64(simulateBytesCeiling)/1e6)
+	if n > simulateBytesCeiling {
+		t.Fatalf("allocated %d bytes, over the %d-byte ceiling: the pack path copies the SAN again", n, simulateBytesCeiling)
+	}
+}
+
 // BenchmarkSimulate measures the full simulation hot path at quick
-// scale: a three-phase RunTimelines (simulate + crawl view + snapstore
-// pack for every day), the kernel under every sweep scenario and every
-// sanserve -workspace cold mount.  It also asserts the allocation
-// budget: the simulator core must not regress to per-call allocations.
+// scale: a three-phase RunTimelines (simulate, then pack the full SAN
+// and its crawl view for every day, the view straight from the live
+// SAN and the declared flags), the kernel under every sweep scenario
+// and every sanserve -workspace cold mount.  It also asserts the
+// allocation budget: the simulator core must not regress to per-call
+// allocations.
 func BenchmarkSimulate(b *testing.B) {
 	b.ReportAllocs()
 	var m0, m1 runtime.MemStats
@@ -118,8 +148,8 @@ func BenchmarkSimulate(b *testing.B) {
 // quick scale as BenchmarkSimulate: StreamTimelines through a
 // snapstore.StreamWriter to a finalized on-disk timeline, the kernel
 // behind `sangen -stream-out` and every crawl-scale run.  It streams
-// only the full SAN (no view sink), so it runs well under
-// BenchmarkSimulate, which also builds the crawl view each day; the
+// only the full SAN (no view sink), so it runs under
+// BenchmarkSimulate, which also encodes the crawl view each day; the
 // committed baseline pins the cost of spilling every day to disk.
 func BenchmarkStreamPack(b *testing.B) {
 	dir := b.TempDir()
@@ -142,8 +172,9 @@ func BenchmarkStreamPack(b *testing.B) {
 }
 
 // BenchmarkStreamPackBoth is the full+view streamed pack — the `sangen
-// sweep` / workspace configuration: simulate, build the crawl view, and
-// delta-encode both timelines to on-disk StreamWriters on one goroutine.
+// sweep` / workspace configuration: simulate, and delta-encode the full
+// SAN and its crawl view (filtered from the full SAN as it is encoded,
+// no view copy) to on-disk StreamWriters on one goroutine.
 func BenchmarkStreamPackBoth(b *testing.B) {
 	dir := b.TempDir()
 	b.ReportAllocs()

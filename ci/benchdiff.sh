@@ -41,7 +41,8 @@ SANSERVE_BENCHES='^(BenchmarkCachedFigureRequest|BenchmarkCachedCompareRequest|B
 # same simulation streamed through a StreamWriter to a finalized
 # on-disk timeline, the `sangen -stream-out` kernel; BenchmarkSweep:
 # the parallel scenario sweep).  StreamPackBoth is the full+view
-# stream (simulate, crawl view, two delta encodes).
+# stream (simulate, then two delta encodes: the full SAN, and its crawl
+# view filtered from the full SAN as it is encoded, with no view copy).
 ROOT_BENCHES='^(BenchmarkDatasetBuild|BenchmarkSimulate|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkSweep)$'
 
 raw=$(mktemp)

@@ -8,81 +8,112 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/gplus"
+	"repro/internal/snapstore"
 )
 
 // TestStreamKillResumeBitwiseIdentical is the CLI acceptance path for
 // checkpoint/resume: a run interrupted at day 30 (the deterministic
 // stand-in for a kill) and resumed from its checkpoint directory must
-// finalize to a file bitwise-identical to an uninterrupted run.
+// finalize to a file bitwise-identical to an uninterrupted run.  The
+// -observed case resumes a crawl-view stream, whose encoder is
+// re-seeded from the restored simulator's crawl view.
 func TestStreamKillResumeBitwiseIdentical(t *testing.T) {
-	dir := t.TempDir()
-	ref := filepath.Join(dir, "ref.tl")
-	got := filepath.Join(dir, "got.tl")
-	var buf bytes.Buffer
+	for _, c := range []struct {
+		name  string
+		extra []string
+	}{
+		{"full", nil},
+		{"observed", []string{"-observed"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ref := filepath.Join(dir, "ref.tl")
+			got := filepath.Join(dir, "got.tl")
+			var buf bytes.Buffer
 
-	base := []string{"-model", "gplus", "-scale", "3", "-seed", "7"}
-	if err := runGenerate(append(base, "-stream-out", ref), &buf); err != nil {
-		t.Fatalf("uninterrupted stream: %v", err)
-	}
-	err := runGenerate(append(base, "-stream-out", got, "-checkpoint-every", "10", "-stop-after", "30"), &buf)
-	if err != nil {
-		t.Fatalf("interrupted stream: %v", err)
-	}
-	if _, err := os.Stat(got); !os.IsNotExist(err) {
-		t.Fatalf("interrupted run published a final file (stat err: %v)", err)
-	}
-	ckptDir := got + ".ckpt"
-	if _, err := os.Stat(filepath.Join(ckptDir, ckptFile)); err != nil {
-		t.Fatalf("interrupted run left no checkpoint: %v", err)
-	}
+			base := append([]string{"-model", "gplus", "-scale", "3", "-seed", "7"}, c.extra...)
+			if err := runGenerate(append(base, "-stream-out", ref), &buf); err != nil {
+				t.Fatalf("uninterrupted stream: %v", err)
+			}
+			err := runGenerate(append(base, "-stream-out", got, "-checkpoint-every", "10", "-stop-after", "30"), &buf)
+			if err != nil {
+				t.Fatalf("interrupted stream: %v", err)
+			}
+			if _, err := os.Stat(got); !os.IsNotExist(err) {
+				t.Fatalf("interrupted run published a final file (stat err: %v)", err)
+			}
+			ckptDir := got + ".ckpt"
+			if _, err := os.Stat(filepath.Join(ckptDir, ckptFile)); err != nil {
+				t.Fatalf("interrupted run left no checkpoint: %v", err)
+			}
 
-	if err := runGenerate([]string{"-resume", ckptDir}, &buf); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	want, err := os.ReadFile(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := os.ReadFile(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(have, want) {
-		t.Fatalf("resumed run differs from uninterrupted run (%d vs %d bytes)", len(have), len(want))
-	}
-	// A finished run cleans up after itself: no checkpoint, no spill.
-	if _, err := os.Stat(ckptDir); !os.IsNotExist(err) {
-		t.Errorf("checkpoint directory survived a finished run (stat err: %v)", err)
-	}
-	if _, err := os.Stat(got + ".spill"); !os.IsNotExist(err) {
-		t.Errorf("spill file survived a finished run (stat err: %v)", err)
+			if err := runGenerate([]string{"-resume", ckptDir}, &buf); err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			want, err := os.ReadFile(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			have, err := os.ReadFile(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(have, want) {
+				t.Fatalf("resumed run differs from uninterrupted run (%d vs %d bytes)", len(have), len(want))
+			}
+			// A finished run cleans up after itself: no checkpoint, no spill.
+			if _, err := os.Stat(ckptDir); !os.IsNotExist(err) {
+				t.Errorf("checkpoint directory survived a finished run (stat err: %v)", err)
+			}
+			if _, err := os.Stat(got + ".spill"); !os.IsNotExist(err) {
+				t.Errorf("spill file survived a finished run (stat err: %v)", err)
+			}
+		})
 	}
 }
 
-// TestStreamObservedMatchesCrawlView checks the -observed stream packs
-// the crawl view, not the full SAN: it must be smaller (22% declare).
+// TestStreamObservedMatchesCrawlView checks that a -stream-out run packs
+// the bytes of the in-memory pack of the same configuration: the full
+// timeline without -observed and the crawl-view timeline with it.
 func TestStreamObservedMatchesCrawlView(t *testing.T) {
+	cfg := gplus.DefaultConfig()
+	cfg.DailyBase = 3
+	cfg.Seed = 7
+	wantFull, wantView, err := gplus.New(cfg).RunTimelines(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	full := filepath.Join(dir, "full.tl")
-	view := filepath.Join(dir, "view.tl")
-	var buf bytes.Buffer
 	base := []string{"-model", "gplus", "-scale", "3", "-seed", "7"}
-	if err := runGenerate(append(base, "-stream-out", full), &buf); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		extra []string
+		want  *snapstore.Timeline
+	}{
+		{"full", nil, wantFull},
+		{"observed", []string{"-observed"}, wantView},
+	} {
+		path := filepath.Join(dir, c.name+".tl")
+		var buf bytes.Buffer
+		if err := runGenerate(append(append(base, c.extra...), "-stream-out", path), &buf); err != nil {
+			t.Fatalf("%s stream: %v", c.name, err)
+		}
+		have, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if _, err := c.want.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(have, want.Bytes()) {
+			t.Errorf("%s stream (%d bytes) differs from RunTimelines' timeline (%d bytes)", c.name, len(have), want.Len())
+		}
 	}
-	if err := runGenerate(append(base, "-observed", "-stream-out", view), &buf); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vi, err := os.Stat(view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vi.Size() >= fi.Size() {
-		t.Errorf("observed stream (%d bytes) not smaller than full stream (%d bytes)", vi.Size(), fi.Size())
+	if wantView.Size() >= wantFull.Size() {
+		t.Errorf("crawl view (%d bytes) not smaller than the full timeline (%d bytes)", wantView.Size(), wantFull.Size())
 	}
 }
 

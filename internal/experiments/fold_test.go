@@ -183,7 +183,7 @@ func TestDatasetBuildResume(t *testing.T) {
 				{"final view", ds.FinalView(), control.FinalView()},
 				{"final full SAN", ds.FinalFull(), control.FinalFull()},
 			} {
-				if !bytes.Equal(snapstore.EncodeSnapshot(snap.got), snapstore.EncodeSnapshot(snap.want)) {
+				if !bytes.Equal(snapstore.EncodeSnapshot(snap.got, nil), snapstore.EncodeSnapshot(snap.want, nil)) {
 					t.Errorf("%s differs from the control", snap.name)
 				}
 			}
@@ -204,19 +204,19 @@ func TestRecomputeDatasetMatchesFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snapstore.EncodeSnapshot(g)
+		return snapstore.EncodeSnapshot(g, nil)
 	}
 	wantHalf := reconstruct(view, halfDay(view.NumDays()))
 	wantFinalView := reconstruct(view, view.NumDays()-1)
 	wantFinalFull := reconstruct(full, full.NumDays()-1)
 	for name, ds := range map[string]*Dataset{"sim": sim, "timeline": NewTimelineDataset(cfg, full, view)} {
-		if !bytes.Equal(snapstore.EncodeSnapshot(ds.HalfView()), wantHalf) {
+		if !bytes.Equal(snapstore.EncodeSnapshot(ds.HalfView(), nil), wantHalf) {
 			t.Errorf("%s: halfway view differs from the reconstructed day", name)
 		}
-		if !bytes.Equal(snapstore.EncodeSnapshot(ds.FinalView()), wantFinalView) {
+		if !bytes.Equal(snapstore.EncodeSnapshot(ds.FinalView(), nil), wantFinalView) {
 			t.Errorf("%s: final view differs from the reconstructed day", name)
 		}
-		if !bytes.Equal(snapstore.EncodeSnapshot(ds.FinalFull()), wantFinalFull) {
+		if !bytes.Equal(snapstore.EncodeSnapshot(ds.FinalFull(), nil), wantFinalFull) {
 			t.Errorf("%s: final full SAN differs from the reconstructed day", name)
 		}
 	}

@@ -10,27 +10,30 @@ import (
 // StreamTimelines simulates days startDay..stopDay (stopDay <= 0 means
 // the configured horizon) and packs each day's end state into the given
 // sinks: full receives the hidden-attribute SAN, view the crawl view
-// (declared attribute links only).  Either sink may be nil; the crawl
-// view is only materialized when something consumes it, so a full-only
-// stream never pays the per-day clone.  Streaming sinks
-// (snapstore.StreamWriter) bound resident memory by the live SAN plus
-// one day's record — the whole-timeline residency of the in-memory
-// sink (snapstore.Live, RunTimelines) is what caps runs below crawl
-// scale.
+// (declared attribute links only).  Either sink may be nil.  The view
+// sink packs the crawl view straight from the live SAN and the
+// declared flags (snapstore.DaySink.AppendView), so no view SAN is
+// built.  Streaming sinks (snapstore.StreamWriter) bound resident
+// memory by the live SAN plus one day's record — the whole-timeline
+// residency of the in-memory sink (snapstore.Live, RunTimelines) is
+// what caps runs below crawl scale.
 //
-// perDay (optional) observes each day after its records are packed; v
-// is nil when no view sink is set.  A non-nil perDay error — or any
-// sink error — stops the run at that day boundary and is returned:
-// the simulator is left in checkpoint-clean state (Day() reports the
-// last completed day) so the caller can persist, resume from Day()+1,
-// or abandon it.  Checkpoint hooks use the error path to abort a run
-// whose state can no longer be persisted; cancelable dataset builds
-// use it to stop simulating promptly on context cancellation.
+// perDay (optional) observes each day after its records are packed.
+// Its third argument is always nil; it stays only so existing hook
+// literals keep compiling, and a hook that needs the crawl view calls
+// CrawlView.  A non-nil perDay error — or any sink error — stops the
+// run at that day boundary and is returned: the simulator is left in
+// checkpoint-clean state (Day() reports the last completed day) so the
+// caller can persist, resume from Day()+1, or abandon it.  Checkpoint
+// hooks use the error path to abort a run whose state can no longer be
+// persisted; cancelable dataset builds use it to stop simulating
+// promptly on context cancellation.
 //
 // The simulation's evolution is append-only (nodes and links are only
-// ever added), which is what lets every day after the first pack as a
-// forward delta instead of a full snapshot.
-func (s *Simulator) StreamTimelines(startDay, stopDay int, full, view snapstore.DaySink, perDay func(day int, g, v *san.SAN) error) error {
+// ever added, and a user's declared flag is drawn once at arrival),
+// which is what lets every day after the first pack as a forward delta
+// instead of a full snapshot.
+func (s *Simulator) StreamTimelines(startDay, stopDay int, full, view snapstore.DaySink, perDay func(day int, g, _ *san.SAN) error) error {
 	if stopDay <= 0 || stopDay > s.Cfg.Days {
 		stopDay = s.Cfg.Days
 	}
@@ -50,10 +53,6 @@ func (s *Simulator) StreamTimelines(startDay, stopDay int, full, view snapstore.
 		packedBytes = sinkBytes(full, view)
 	}
 	s.runRange(startDay, stopDay, func(day int, g *san.SAN) bool {
-		var v *san.SAN
-		if view != nil {
-			v = s.CrawlView()
-		}
 		if full != nil {
 			if err := full.Append(g); err != nil {
 				runErr = fmt.Errorf("gplus: packing day %d: %w", day, err)
@@ -61,7 +60,7 @@ func (s *Simulator) StreamTimelines(startDay, stopDay int, full, view snapstore.
 			}
 		}
 		if view != nil {
-			if err := view.Append(v); err != nil {
+			if err := view.AppendView(g, s.declared); err != nil {
 				runErr = fmt.Errorf("gplus: packing day %d view: %w", day, err)
 				return false
 			}
@@ -73,7 +72,7 @@ func (s *Simulator) StreamTimelines(startDay, stopDay int, full, view snapstore.
 			packedBytes = now
 		}
 		if perDay != nil {
-			if err := perDay(day, g, v); err != nil {
+			if err := perDay(day, g, nil); err != nil {
 				runErr = err
 				return false
 			}
@@ -99,16 +98,16 @@ func sinkBytes(full, view snapstore.DaySink) int {
 // of the paper's 79 daily crawl snapshots.  Two timelines are emitted
 // in lockstep: the full hidden-attribute SAN and the crawl view
 // (declared attribute links only), both indexed so timeline day d-1 is
-// simulated day d.  perDay (optional) observes each day's full SAN and
-// crawl view as they are packed; the views passed to it are fresh and
-// may be retained.  Crawl-scale runs stream through StreamTimelines
-// instead of materializing both timelines.
-func (s *Simulator) RunTimelines(perDay func(day int, full, view *san.SAN)) (full, view *snapstore.Timeline, err error) {
+// simulated day d.  perDay (optional) observes each day's full SAN
+// after it is packed; it is the live network, so a hook that keeps a
+// day clones it (or takes CrawlView).  Crawl-scale runs stream through
+// StreamTimelines instead of materializing both timelines.
+func (s *Simulator) RunTimelines(perDay func(day int, full *san.SAN)) (full, view *snapstore.Timeline, err error) {
 	fb, vb := snapstore.NewLive(), snapstore.NewLive()
-	var hook func(day int, g, v *san.SAN) error
+	var hook func(day int, g, _ *san.SAN) error
 	if perDay != nil {
-		hook = func(day int, g, v *san.SAN) error {
-			perDay(day, g, v)
+		hook = func(day int, g, _ *san.SAN) error {
+			perDay(day, g)
 			return nil
 		}
 	}

@@ -22,8 +22,10 @@ type countingSink struct {
 	days int
 }
 
-func (c *countingSink) Append(g *san.SAN) error {
-	if err := c.b.Append(g); err != nil {
+func (c *countingSink) Append(g *san.SAN) error { return c.AppendView(g, nil) }
+
+func (c *countingSink) AppendView(g *san.SAN, declared []bool) error {
+	if err := c.b.AppendView(g, declared); err != nil {
 		return err
 	}
 	c.days++
@@ -41,12 +43,14 @@ type failingSink struct {
 
 var errSinkBoom = errors.New("sink boom")
 
-func (f *failingSink) Append(g *san.SAN) error {
+func (f *failingSink) Append(g *san.SAN) error { return f.AppendView(g, nil) }
+
+func (f *failingSink) AppendView(g *san.SAN, declared []bool) error {
 	f.n++
 	if f.n == f.failAt {
 		return errSinkBoom
 	}
-	return f.b.Append(g)
+	return f.b.AppendView(g, declared)
 }
 
 func (f *failingSink) PackedBytes() int { return f.b.PackedBytes() }

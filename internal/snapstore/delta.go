@@ -82,8 +82,10 @@ func applyGroups[T id](r *reader, numSocial, max int, what string, add func(u sa
 
 // encodeDelta builds a delta record from the per-node link counts the
 // dayEncoder tracked for the previous day.  next must be an append-only
-// extension of that state; a shrinking list reports an error.
-func encodeDelta(next *san.SAN, prevSocial, prevAttrs int, prevOutDeg, prevAttrDeg []int32) ([]byte, error) {
+// extension of that state; a shrinking list reports an error.  A
+// non-nil declared drops the attribute links of undeclared users, as
+// EncodeSnapshot does.
+func encodeDelta(next *san.SAN, declared []bool, prevSocial, prevAttrs int, prevOutDeg, prevAttrDeg []int32) ([]byte, error) {
 	n, na := next.NumSocial(), next.NumAttrs()
 	if n < prevSocial || na < prevAttrs {
 		return nil, fmt.Errorf("snapstore: timeline is not append-only (social %d→%d, attrs %d→%d)",
@@ -100,7 +102,12 @@ func encodeDelta(next *san.SAN, prevSocial, prevAttrs int, prevOutDeg, prevAttrD
 	if err != nil {
 		return nil, err
 	}
-	attrGroups, err := newLinkGroups(n, prevSocial, prevAttrDeg, func(u san.NodeID) []san.AttrID { return next.Attrs(u) })
+	attrGroups, err := newLinkGroups(n, prevSocial, prevAttrDeg, func(u san.NodeID) []san.AttrID {
+		if !visible(declared, int(u)) {
+			return nil
+		}
+		return next.Attrs(u)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ import (
 func FuzzDecodeSnapshot(f *testing.F) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	for i := 0; i < 4; i++ {
-		f.Add(EncodeSnapshot(RandomSAN(rng)))
+		f.Add(EncodeSnapshot(RandomSAN(rng), nil))
 	}
 	// Known corrupt shapes, so mutation starts from the error paths too.
 	f.Add([]byte{tagSnapshot, 0xff, 0xff, 0xff, 0xff, 0x7f})
@@ -35,7 +35,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("decoded SAN is invalid: %v", err)
 		}
-		re := EncodeSnapshot(g)
+		re := EncodeSnapshot(g, nil)
 		g2, err := DecodeSnapshot(re)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
@@ -45,7 +45,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		// Accepted input is already canonical (sorted lists), so the
 		// second encode must be byte-identical.
-		if !bytes.Equal(re, EncodeSnapshot(g2)) {
+		if !bytes.Equal(re, EncodeSnapshot(g2, nil)) {
 			t.Fatal("canonical encoding is not a fixed point")
 		}
 	})

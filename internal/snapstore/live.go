@@ -41,13 +41,17 @@ func NewLive() *Live {
 }
 
 // Append packs g as the next day and wakes every blocked reader.
-func (l *Live) Append(g *san.SAN) error {
+func (l *Live) Append(g *san.SAN) error { return l.AppendView(g, nil) }
+
+// AppendView packs the crawl view of g under declared (all of g when
+// declared is nil) as the next day and wakes every blocked reader.
+func (l *Live) AppendView(g *san.SAN, declared []bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.finished {
 		return fmt.Errorf("snapstore: append to a finished live timeline")
 	}
-	rec, err := l.enc.encode(g)
+	rec, err := l.enc.encode(g, declared)
 	if err != nil {
 		return err
 	}

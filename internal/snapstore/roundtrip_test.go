@@ -31,7 +31,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		}
 
 		// SAN (via text) → binary → SAN.
-		fromBinary, err := DecodeSnapshot(EncodeSnapshot(fromText))
+		fromBinary, err := DecodeSnapshot(EncodeSnapshot(fromText, nil))
 		if err != nil {
 			t.Fatalf("case %d: binary decode: %v", i, err)
 		}
@@ -48,7 +48,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 // records; every case must error rather than panic or succeed.
 func TestDecodeSnapshotCorruptInputs(t *testing.T) {
 	g := RandomSAN(rand.New(rand.NewPCG(3, 5)))
-	good := EncodeSnapshot(g)
+	good := EncodeSnapshot(g, nil)
 	if _, err := DecodeSnapshot(good); err != nil {
 		t.Fatalf("control: valid snapshot failed to decode: %v", err)
 	}

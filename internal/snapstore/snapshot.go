@@ -25,7 +25,12 @@ const (
 // the in-adjacency and attribute membership lists are derived on
 // decode.  Neighbor lists are written in canonical sorted order, so
 // the format round-trips everything except adjacency ordering.
-func EncodeSnapshot(g *san.SAN) []byte {
+//
+// A non-nil declared encodes the crawl view of g instead: the attribute
+// list of every user u with u >= len(declared) or !declared[u] is
+// written empty, so the record is the one g.CloneView(declared) encodes
+// to.  With nil every attribute list is written.
+func EncodeSnapshot(g *san.SAN, declared []bool) []byte {
 	buf := make([]byte, 0, 16+g.NumSocialEdges()*2+g.NumAttrEdges()*2)
 	buf = append(buf, tagSnapshot)
 	buf = binary.AppendUvarint(buf, uint64(g.NumSocial()))
@@ -39,9 +44,21 @@ func EncodeSnapshot(g *san.SAN) []byte {
 		buf = appendIDList(buf, g.OutSorted(san.NodeID(u)))
 	}
 	for u := 0; u < g.NumSocial(); u++ {
-		buf = appendIDList(buf, g.AttrsSorted(san.NodeID(u)))
+		var attrs []san.AttrID
+		if visible(declared, u) {
+			attrs = g.AttrsSorted(san.NodeID(u))
+		}
+		buf = appendIDList(buf, attrs)
 	}
 	return buf
+}
+
+// visible reports whether user u's attribute links are encoded under
+// declared: always when declared is nil, else only for declared users
+// (users at or past len(declared) count as undeclared, as in
+// san.CloneView).
+func visible(declared []bool, u int) bool {
+	return declared == nil || u < len(declared) && declared[u]
 }
 
 // DecodeSnapshot parses a full-snapshot record back into a SAN.  It

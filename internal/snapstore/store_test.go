@@ -24,9 +24,9 @@ func testCfg() gplus.Config {
 func TestGplusTimelineRoundTrip(t *testing.T) {
 	sim := gplus.New(testCfg())
 	var fullDays, viewDays []*san.SAN
-	full, view, err := sim.RunTimelines(func(day int, f, v *san.SAN) {
+	full, view, err := sim.RunTimelines(func(day int, f *san.SAN) {
 		fullDays = append(fullDays, f.Clone())
-		viewDays = append(viewDays, v)
+		viewDays = append(viewDays, sim.CrawlView())
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestGplusTimelineRoundTrip(t *testing.T) {
 	// than re-encoding every day as a full snapshot.
 	fullSize := 0
 	for day := 0; day < full.NumDays(); day++ {
-		fullSize += len(snapstore.EncodeSnapshot(fullDays[day]))
+		fullSize += len(snapstore.EncodeSnapshot(fullDays[day], nil))
 	}
 	if full.Size() >= fullSize/3 {
 		t.Errorf("delta timeline %d bytes, %d as full snapshots: expected >3x sharing", full.Size(), fullSize)

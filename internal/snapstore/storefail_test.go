@@ -24,7 +24,7 @@ func failingTimeline(t *testing.T) *snapstore.Timeline {
 	for i := 0; i < 150000; i++ {
 		g.AddSocialEdge(san.NodeID(rng.IntN(12000)), san.NodeID(rng.IntN(12000)))
 	}
-	snap := snapstore.EncodeSnapshot(g)
+	snap := snapstore.EncodeSnapshot(g, nil)
 	bad := []byte{'X'} // not a delta record
 
 	var buf bytes.Buffer

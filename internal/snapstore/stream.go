@@ -18,26 +18,35 @@ import (
 // choose their memory/durability trade-off per sink.
 type DaySink interface {
 	// Append packs g as the next day.  The SAN sequence must be
-	// append-only day over day.
+	// append-only day over day.  It is AppendView(g, nil).
 	Append(g *san.SAN) error
+	// AppendView packs the crawl view of g as the next day: the record
+	// g.CloneView(declared) would pack, built from g itself, so the
+	// view is never materialized.  A nil declared packs all of g.
+	// declared must not be unset for a user once set, so the packed
+	// views stay append-only.
+	AppendView(g *san.SAN, declared []bool) error
 	// PackedBytes reports the total encoded size of the days appended
 	// so far (a running total, O(1) per call).
 	PackedBytes() int
 }
 
-// Tee returns a DaySink that forwards every Append to each of the
-// given sinks in order, stopping at the first error.  PackedBytes
-// reports the first sink's running total (each sink encodes the same
-// days, so the totals agree; counting one avoids double-billing
-// progress bytes).  A sangen -stream-out run tees its disk sink into a
-// Live so a mounted server can tail the evolution as it is produced.
+// Tee returns a DaySink that forwards every Append and AppendView to
+// each of the given sinks in order, stopping at the first error.
+// PackedBytes reports the first sink's running total (each sink
+// encodes the same days, so the totals agree; counting one avoids
+// double-billing progress bytes).  A sangen -stream-out run tees its
+// disk sink into a Live so a mounted server can tail the evolution as
+// it is produced.
 func Tee(sinks ...DaySink) DaySink { return teeSink(sinks) }
 
 type teeSink []DaySink
 
-func (t teeSink) Append(g *san.SAN) error {
+func (t teeSink) Append(g *san.SAN) error { return t.AppendView(g, nil) }
+
+func (t teeSink) AppendView(g *san.SAN, declared []bool) error {
 	for _, s := range t {
-		if err := s.Append(g); err != nil {
+		if err := s.AppendView(g, declared); err != nil {
 			return err
 		}
 	}
@@ -63,34 +72,38 @@ type dayEncoder struct {
 	attrDeg   []int32
 }
 
-// encode packs g as the next day record and advances the retained
-// counts.
-func (e *dayEncoder) encode(g *san.SAN) ([]byte, error) {
+// encode packs g (its crawl view, with a non-nil declared) as the next
+// day record and advances the retained counts.
+func (e *dayEncoder) encode(g *san.SAN, declared []bool) ([]byte, error) {
 	var rec []byte
 	if e.numDays == 0 {
-		rec = EncodeSnapshot(g)
+		rec = EncodeSnapshot(g, declared)
 	} else {
 		var err error
-		rec, err = encodeDelta(g, e.numSocial, e.numAttrs, e.outDeg, e.attrDeg)
+		rec, err = encodeDelta(g, declared, e.numSocial, e.numAttrs, e.outDeg, e.attrDeg)
 		if err != nil {
 			return nil, fmt.Errorf("snapstore: day %d: %w", e.numDays, err)
 		}
 	}
-	e.observe(g, e.numDays+1)
+	e.observe(g, declared, e.numDays+1)
 	return rec, nil
 }
 
-// observe points the encoder's retained state at g as of day numDays
-// (the day count *including* g's day).  Resume paths use it directly to
-// seed a fresh encoder from a restored SAN without encoding anything.
-func (e *dayEncoder) observe(g *san.SAN, numDays int) {
+// observe points the encoder's retained state at g (its crawl view,
+// with a non-nil declared) as of day numDays (the day count *including*
+// g's day).  Resume paths use it directly to seed a fresh encoder from
+// a restored SAN without encoding anything.
+func (e *dayEncoder) observe(g *san.SAN, declared []bool, numDays int) {
 	e.numDays = numDays
 	e.numSocial, e.numAttrs = g.NumSocial(), g.NumAttrs()
 	e.outDeg = resizeTo(e.outDeg, e.numSocial)
 	e.attrDeg = resizeTo(e.attrDeg, e.numSocial)
 	for u := 0; u < e.numSocial; u++ {
 		e.outDeg[u] = int32(g.OutDegree(san.NodeID(u)))
-		e.attrDeg[u] = int32(g.AttrDegree(san.NodeID(u)))
+		e.attrDeg[u] = 0
+		if visible(declared, u) {
+			e.attrDeg[u] = int32(g.AttrDegree(san.NodeID(u)))
+		}
 	}
 }
 
@@ -133,9 +146,10 @@ func NewStreamWriter(path string) (*StreamWriter, error) {
 // ResumeStreamWriter reopens an interrupted stream at a checkpointed
 // day boundary: lens are the recorded per-day record sizes (the spill
 // is truncated to their sum, discarding any days written after the
-// checkpoint was taken), and last is the restored SAN as of the last
-// recorded day, which re-seeds the delta encoder.  The next Append
-// continues with day len(lens).
+// checkpoint was taken), and last is the SAN the stream packed for the
+// last recorded day (for a crawl-view stream, that view), which
+// re-seeds the delta encoder.  The next Append continues with day
+// len(lens).
 func ResumeStreamWriter(path string, lens []int, last *san.SAN) (*StreamWriter, error) {
 	if len(lens) == 0 {
 		return nil, fmt.Errorf("snapstore: resume needs at least the day-0 record")
@@ -171,17 +185,22 @@ func ResumeStreamWriter(path string, lens []int, last *san.SAN) (*StreamWriter, 
 		lens:      append([]int(nil), lens...),
 		packed:    int(total),
 	}
-	w.enc.observe(last, len(lens))
+	w.enc.observe(last, nil, len(lens))
 	return w, nil
 }
 
 // Append encodes g as the next day and writes the record to the spill
 // file.
-func (w *StreamWriter) Append(g *san.SAN) error {
+func (w *StreamWriter) Append(g *san.SAN) error { return w.AppendView(g, nil) }
+
+// AppendView encodes the crawl view of g under declared (all of g when
+// declared is nil) as the next day and writes the record to the spill
+// file.
+func (w *StreamWriter) AppendView(g *san.SAN, declared []bool) error {
 	if w.closed {
 		return fmt.Errorf("snapstore: appending to a finalized stream")
 	}
-	rec, err := w.enc.encode(g)
+	rec, err := w.enc.encode(g, declared)
 	if err != nil {
 		return err
 	}
