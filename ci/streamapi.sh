@@ -6,8 +6,11 @@
 # record with the right row count, (2) a from=20&to=75 walk is exactly
 # lines 20-75 of the full walk plus {"done":true,"rows":56}, (3) the
 # summaries-only walk is the metrics walk with each row's "metrics"
-# object stripped, (4) killing the client mid-stream is noticed by the
-# server and counted in sanserve_streams_canceled_total.  Concurrent
+# object stripped, (4) /v1/snapshots/stats?days=1-N&source=view serves
+# one record per day whose node and link totals equal the summaries
+# walk's, and /v1/snapshots/N/stats?source=view equals its last record,
+# (5) killing the client mid-stream is noticed by the server and
+# counted in sanserve_streams_canceled_total.  Concurrent
 # full walks on a single-file mount, each ending in its done record,
 # are checked by TestConcurrentStreamWalks in cmd/sanserve (the
 # load-smoke CI job).
@@ -66,6 +69,24 @@ cmp -s "$tmp/ranged.ndjson" "$tmp/ranged.want" || fail "from=20&to=75 walk is no
 # A heartbeat can land while the metrics walk waits on the mount's build.
 sed -e '/"heartbeat":true/d' -e 's/,"metrics":{[^}]*}//' "$tmp/stream.ndjson" >"$tmp/stripped.ndjson"
 cmp -s "$tmp/summaries.ndjson" "$tmp/stripped.ndjson" || fail "summaries-only walk differs from the metrics walk with metrics stripped"
+
+echo "streamapi: checking view snapshot stats against the summaries walk"
+# totals prints "day social_nodes social_links attr_nodes attr_links"
+# for every record of its input that carries them.
+totals() {
+  sed -n 's/.*"day":\([0-9]*\),.*"social_nodes":\([0-9]*\),"social_links":\([0-9]*\),"attr_nodes":\([0-9]*\),"attr_links":\([0-9]*\).*/\1 \2 \3 \4 \5/p' "$1"
+}
+curl -fsS "$BASE/v1/snapshots/stats?days=1-$DAYS&source=view" |
+  sed -e 's/^{"stats":\[//' -e 's/\]}$//' -e 's/},{/}\
+{/g' >"$tmp/snapstats.ndjson"
+rows=$(grep -c '^{"timeline"' "$tmp/snapstats.ndjson" || true)
+[ "$rows" = "$DAYS" ] || fail "snapshot stats sweep served $rows records, want $DAYS"
+totals "$tmp/snapstats.ndjson" >"$tmp/snapstats.totals"
+totals "$tmp/summaries.ndjson" >"$tmp/summaries.totals"
+[ "$(wc -l <"$tmp/snapstats.totals")" -eq "$DAYS" ] || fail "could not read node and link totals from the snapshot stats records"
+cmp -s "$tmp/snapstats.totals" "$tmp/summaries.totals" || fail "snapshot stats totals differ from the summaries walk"
+curl -fsS "$BASE/v1/snapshots/$DAYS/stats?source=view" >"$tmp/lastday.json"
+tail -n 1 "$tmp/snapstats.ndjson" | cmp -s - "$tmp/lastday.json" || fail "/v1/snapshots/$DAYS/stats differs from the sweep's last record"
 
 echo "streamapi: killing a client mid-stream (paced walk)"
 curl -fsSN "$BASE/v1/stream/gplus?pace=200" >"$tmp/partial.ndjson" 2>/dev/null &

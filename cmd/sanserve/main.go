@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	sanserve -mount gplus=full.tl,view.tl [-addr :8766] [-cache 256] [-snapcache 8]
+//	sanserve -mount gplus=full.tl,view.tl [-addr :8766] [-cache 256]
 //	sanserve -workspace ws                      (a `sangen sweep` output directory)
 //	sanserve -mount gplus=full.tl -audit audit.ndjson -pprof :6060
 //
@@ -79,7 +79,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		reloadEvery = fs.Duration("reload-interval", 0, "poll the workspace manifest and hot-reload changed scenarios at this interval (0 = only POST /v1/admin/reload)")
 		maxBuilds   = fs.Int("max-builds", 0, "max concurrent uncached figure builds; excess cold requests get 429 + Retry-After (0 = unlimited)")
 		cache       = fs.Int("cache", 256, "figure result cache entries")
-		snapcache   = fs.Int("snapcache", 8, "reconstructed snapshots cached per mounted timeline")
 		quick       = fs.Bool("quick", false, "quick experiment config for model figures")
 		seed        = fs.Uint64("seed", 0, "override experiment seed")
 		logFormat   = fs.String("log", "text", "structured log format: text or json")
@@ -131,11 +130,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		cfg.Seed = *seed
 	}
 	opts := sanserve.Options{
-		Cfg:           cfg,
-		CacheEntries:  *cache,
-		SnapCacheDays: *snapcache,
-		MaxBuilds:     *maxBuilds,
-		Logger:        logger,
+		Cfg:          cfg,
+		CacheEntries: *cache,
+		MaxBuilds:    *maxBuilds,
+		Logger:       logger,
 	}
 	if *auditPath != "" {
 		f, err := os.OpenFile(*auditPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

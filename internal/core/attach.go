@@ -365,7 +365,7 @@ func pickShared(shared []sharedCand, prefix []float64, total float64, rng *rand.
 // they are visible in streams, then fade.  This truncates the pure-PA
 // power-law tail into the lognormal-like indegree the paper measures
 // on Google+ (Figure 5b).  Only meaningful for Alpha == 1; other
-// exponents fall back to SamplePA.
+// exponents fall back to the attribute-blind base draw (sampleBase).
 func (at *Attacher) SamplePAWindow(g *san.SAN, u san.NodeID, rng *rand.Rand, window int) san.NodeID {
 	if at.Alpha != 1 || window <= 0 || len(at.ballot) == 0 {
 		return at.sampleBase(g, u, rng)
@@ -388,14 +388,6 @@ func (at *Attacher) SamplePAWindow(g *san.SAN, u san.NodeID, rng *rand.Rand, win
 		}
 	}
 	return at.fallbackScan(g, u, rng)
-}
-
-// SamplePA draws a target from the attribute-blind base model
-// f ∝ (d_in+1)^α, regardless of the configured Kind.  The Google+
-// simulator uses it for subscriber behavior (following popular
-// accounts without attribute affinity).
-func (at *Attacher) SamplePA(g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
-	return at.sampleBase(g, u, rng)
 }
 
 // sampleBase draws from f ∝ (d_in+1)^α ignoring attributes.

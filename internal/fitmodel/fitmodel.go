@@ -62,9 +62,6 @@ type Options struct {
 	Seed   uint64
 }
 
-// DefaultOptions returns a laptop-scale search budget.
-func DefaultOptions() Options { return Options{T: 3000, Sweeps: 2, Seed: 5} }
-
 // Result is the outcome of a search.
 type Result struct {
 	Params  core.Params

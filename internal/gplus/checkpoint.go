@@ -48,79 +48,83 @@ const (
 	stateVersion = 2
 )
 
+// stateChunk is the size at which WriteState hands its encoded bytes
+// to w: one Write per chunk, and never more than about one chunk of
+// the state held in memory.
+const stateChunk = 64 << 10
+
 // WriteState serializes the simulator's complete resumable state.  It
 // must be called between days (from a perDay/StreamTimelines hook, or
 // after Run returns) — never while a day is being simulated.
 func (s *Simulator) WriteState(w io.Writer) error {
-	sw := &stateWriter{w: w}
-	sw.bytes([]byte(stateMagic))
-	sw.u8(stateVersion)
-	sw.u8(0) // rng mode: sequential
-	sw.uvarint(0)
-
 	rng, err := s.rngSrc.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("gplus: marshaling rng state: %w", err)
 	}
-	sw.uvarint(uint64(len(rng)))
-	sw.bytes(rng)
+	c := &chunker{w: w}
+	b := make([]byte, 0, 2*stateChunk)
+	b = append(b, stateMagic...)
+	b = append(b, stateVersion, 0) // rng mode: sequential
+	b = binary.AppendUvarint(b, 0) // substream salt
+	b = binary.AppendUvarint(b, uint64(len(rng)))
+	b = append(b, rng...)
 
-	sw.uvarint(uint64(s.day))
-	sw.f64(s.now)
+	b = binary.AppendUvarint(b, uint64(s.day))
+	b = appendF64(b, s.now)
 
 	nu := len(s.kinds)
-	sw.uvarint(uint64(nu))
+	b = binary.AppendUvarint(b, uint64(nu))
 	for _, k := range s.kinds {
-		sw.u8(byte(k))
+		b = c.spill(append(b, byte(k)))
 	}
 	for _, d := range s.deaths {
-		sw.f64(d)
+		b = c.spill(appendF64(b, d))
 	}
-	for _, b := range s.lifeBoost {
-		sw.f64(b)
+	for _, lb := range s.lifeBoost {
+		b = c.spill(appendF64(b, lb))
 	}
 	for _, d := range s.baseOut {
-		sw.uvarint(uint64(d))
+		b = c.spill(binary.AppendUvarint(b, uint64(d)))
 	}
 	for _, d := range s.declared {
+		var v byte
 		if d {
-			sw.u8(1)
-		} else {
-			sw.u8(0)
+			v = 1
 		}
+		b = c.spill(append(b, v))
 	}
 
-	sw.uvarint(uint64(len(s.events)))
+	b = binary.AppendUvarint(b, uint64(len(s.events)))
 	for _, e := range s.events {
-		sw.f64(e.t)
-		sw.u8(byte(e.kind))
-		sw.varint(int64(e.u))
-		sw.varint(int64(e.v))
+		b = appendF64(b, e.t)
+		b = append(b, byte(e.kind))
+		b = binary.AppendVarint(b, int64(e.u))
+		b = c.spill(binary.AppendVarint(b, int64(e.v)))
 	}
 
 	ast := s.attacher.State()
-	sw.f64(ast.SumPow)
-	sw.uvarint(uint64(ast.N))
-	sw.uvarint(uint64(len(ast.Ballot)))
+	b = appendF64(b, ast.SumPow)
+	b = binary.AppendUvarint(b, uint64(ast.N))
+	b = binary.AppendUvarint(b, uint64(len(ast.Ballot)))
 	for _, v := range ast.Ballot {
-		sw.uvarint(uint64(v))
+		b = c.spill(binary.AppendUvarint(b, uint64(v)))
 	}
 	if ast.Tree != nil {
-		sw.u8(1)
-		sw.uvarint(uint64(ast.TreeN))
+		b = append(b, 1)
+		b = binary.AppendUvarint(b, uint64(ast.TreeN))
 		for _, t := range ast.Tree {
-			sw.f64(t)
+			b = c.spill(appendF64(b, t))
 		}
 	} else {
-		sw.u8(0)
+		b = append(b, 0)
 	}
 
-	sw.uvarint(uint64(s.catalog.serial))
+	b = binary.AppendUvarint(b, uint64(s.catalog.serial))
 	for t := range s.catalog.ballot {
-		b := s.catalog.ballot[t]
-		sw.uvarint(uint64(len(b)))
-		for _, a := range b {
-			sw.uvarint(uint64(a))
+		ballot := s.catalog.ballot[t]
+		b = binary.AppendUvarint(b, uint64(len(ballot)))
+		for _, a := range ballot {
+			b = c.spill(binary.AppendUvarint(b, uint64(a)))
 		}
 	}
 
@@ -131,35 +135,67 @@ func (s *Simulator) WriteState(w io.Writer) error {
 		socialEdges += len(st.Out[u])
 		attrEdges += len(st.Attr[u])
 	}
-	sw.uvarint(uint64(n))
-	sw.uvarint(uint64(na))
+	b = binary.AppendUvarint(b, uint64(n))
+	b = binary.AppendUvarint(b, uint64(na))
 	// Edge totals up front let the decoder back all adjacency lists
 	// with four flat arrays instead of millions of small allocations.
-	sw.uvarint(uint64(socialEdges))
-	sw.uvarint(uint64(attrEdges))
-	writeNodeLists(sw, st.Out)
-	writeNodeLists(sw, st.In)
+	b = binary.AppendUvarint(b, uint64(socialEdges))
+	b = binary.AppendUvarint(b, uint64(attrEdges))
+	b = c.appendNodeLists(b, st.Out)
+	b = c.appendNodeLists(b, st.In)
 	for u := 0; u < n; u++ {
-		sw.uvarint(uint64(len(st.Attr[u])))
+		b = binary.AppendUvarint(b, uint64(len(st.Attr[u])))
 		for _, a := range st.Attr[u] {
-			sw.uvarint(uint64(a))
+			b = binary.AppendUvarint(b, uint64(a))
 		}
+		b = c.spill(b)
 	}
-	writeNodeLists(sw, st.Members)
+	b = c.appendNodeLists(b, st.Members)
 	for a := 0; a < na; a++ {
-		sw.str(st.AttrNames[a])
-		sw.u8(byte(st.AttrTypes[a]))
+		b = binary.AppendUvarint(b, uint64(len(st.AttrNames[a])))
+		b = append(b, st.AttrNames[a]...)
+		b = c.spill(append(b, byte(st.AttrTypes[a])))
 	}
-	return sw.err
+	c.flush(b)
+	return c.err
 }
 
-func writeNodeLists(sw *stateWriter, lists [][]san.NodeID) {
-	for _, l := range lists {
-		sw.uvarint(uint64(len(l)))
-		for _, v := range l {
-			sw.uvarint(uint64(v))
-		}
+// chunker hands WriteState's encoded bytes to w a chunk at a time,
+// keeping the first write error.
+type chunker struct {
+	w   io.Writer
+	err error
+}
+
+// flush writes b and returns it emptied for reuse.
+func (c *chunker) flush(b []byte) []byte {
+	if c.err == nil {
+		_, c.err = c.w.Write(b)
 	}
+	return b[:0]
+}
+
+// spill flushes b once it holds stateChunk bytes.
+func (c *chunker) spill(b []byte) []byte {
+	if len(b) >= stateChunk {
+		return c.flush(b)
+	}
+	return b
+}
+
+func (c *chunker) appendNodeLists(b []byte, lists [][]san.NodeID) []byte {
+	for _, l := range lists {
+		b = binary.AppendUvarint(b, uint64(len(l)))
+		for _, v := range l {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+		b = c.spill(b)
+	}
+	return b
+}
+
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
 // Day reports the last fully simulated day (0 before Run).  A resumed
@@ -384,45 +420,8 @@ func (sr *stateReader) readNodeLists(lists [][]san.NodeID, flat []san.NodeID, wh
 	return sr.err == nil
 }
 
-// stateWriter is a sticky-error little-endian primitive writer.
-type stateWriter struct {
-	w   io.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
-}
-
-func (sw *stateWriter) bytes(p []byte) {
-	if sw.err == nil {
-		_, sw.err = sw.w.Write(p)
-	}
-}
-
-func (sw *stateWriter) u8(b byte) {
-	sw.buf[0] = b
-	sw.bytes(sw.buf[:1])
-}
-
-func (sw *stateWriter) uvarint(x uint64) {
-	n := binary.PutUvarint(sw.buf[:], x)
-	sw.bytes(sw.buf[:n])
-}
-
-func (sw *stateWriter) varint(x int64) {
-	n := binary.PutVarint(sw.buf[:], x)
-	sw.bytes(sw.buf[:n])
-}
-
-func (sw *stateWriter) f64(v float64) {
-	binary.LittleEndian.PutUint64(sw.buf[:8], math.Float64bits(v))
-	sw.bytes(sw.buf[:8])
-}
-
-func (sw *stateWriter) str(s string) {
-	sw.uvarint(uint64(len(s)))
-	sw.bytes([]byte(s))
-}
-
-// stateReader is the sticky-error counterpart of stateWriter.
+// stateReader is a sticky-error little-endian primitive reader, the
+// decoding counterpart of WriteState.
 type stateReader struct {
 	r   *bufio.Reader
 	err error

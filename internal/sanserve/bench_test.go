@@ -80,8 +80,8 @@ func BenchmarkCachedCompareRequest(b *testing.B) {
 	})
 }
 
-// BenchmarkSnapshotStats measures one snapshot-stat request through
-// the snapstore LRU (day already cached after the first hit).
+// BenchmarkSnapshotStats measures one snapshot-stat request: a read
+// of the per-day table recorded at mount, encoded as JSON.
 func BenchmarkSnapshotStats(b *testing.B) {
 	h := benchHandler(b)
 	b.ReportAllocs()

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/snapstore"
 )
 
 // serverMetrics are the request-path counters; they are registered
@@ -104,55 +103,21 @@ func (s *Server) registerQuantileGauges(endpoint string, h *obs.Histogram) {
 	}
 }
 
-// registerMountMetrics exports one mount name's snapstore Store
-// statistics.  The series resolve the *current* mount by name through
-// a brief s.mu.RLock at render time (the value is read before any
-// write to the response — WritePrometheus snapshots callbacks first),
-// so a hot reload that swaps the mount does not duplicate series: the
-// same (timeline, source) labels simply start reporting the new
-// mount's stores.  Registration happens at most once per name.
-func (s *Server) registerMountMetrics(name string) {
-	s.mu.Lock()
-	if s.mountMetricNames[name] {
-		s.mu.Unlock()
-		return
-	}
-	s.mountMetricNames[name] = true
-	s.mu.Unlock()
-	for _, src := range []string{"full", "view"} {
-		labels := obs.Labels{"timeline": name, "source": src}
-		src := src
-		stats := func() snapstore.StoreStats {
-			if st := s.storeFor(name, src); st != nil {
-				return st.Stats()
-			}
-			return snapstore.StoreStats{}
+// tableHitsFor returns the snapshot-table read counters of mounts
+// named name, registering their sanserve_store_hits_total series (by
+// timeline and source) the first time such a mount is built, so a
+// reload keeps the series monotone.  Every day is recorded at mount
+// time, so each read is a hit and there is no miss series; perfbench's
+// hot-serve store hit ratio reads this counter.
+func (s *Server) tableHitsFor(name string) *[2]atomic.Uint64 {
+	c, loaded := s.tableHits.LoadOrStore(name, new([2]atomic.Uint64))
+	hits := c.(*[2]atomic.Uint64)
+	if !loaded {
+		for i, src := range []string{"full", "view"} {
+			s.reg.Counter("sanserve_store_hits_total", obs.Labels{"timeline": name, "source": src}, hits[i].Load)
 		}
-		s.reg.Counter("sanserve_store_hits_total", labels, func() uint64 { return stats().Hits })
-		s.reg.Counter("sanserve_store_misses_total", labels, func() uint64 { return stats().Misses })
-		s.reg.Counter("sanserve_store_evictions_total", labels, func() uint64 { return stats().Evictions })
-		s.reg.Gauge("sanserve_store_cached_days", labels, func() float64 {
-			if st := s.storeFor(name, src); st != nil {
-				return float64(st.CachedDays())
-			}
-			return 0
-		})
 	}
-}
-
-// storeFor resolves a mount's snapstore by name and source; nil when
-// the mount is gone (a removed scenario's series read as zero).
-func (s *Server) storeFor(name, source string) *snapstore.Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := s.mounts[name]
-	if m == nil {
-		return nil
-	}
-	if source == "view" {
-		return m.viewStore
-	}
-	return m.fullStore
+	return hits
 }
 
 // handleMetrics renders the registry in the Prometheus text

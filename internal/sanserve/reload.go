@@ -49,7 +49,7 @@ func (r *ReloadReport) Changed() bool {
 // ReloadWorkspace re-reads the mounted workspace's manifest and
 // atomically swaps the mount table to match it.  Runs whose content
 // digest is unchanged keep their existing *Mount — and therefore
-// their snapstore LRU, lazily-built dataset, and every hot result-
+// their per-day tables, lazily-built dataset, and every hot result-
 // cache entry.  Changed or new runs are loaded and validated in the
 // background (no server lock held), then installed in one brief
 // write-locked swap; removed runs drop out of the table and have
@@ -149,9 +149,6 @@ func (s *Server) reloadLocked() (*ReloadReport, error) {
 	}
 	for _, name := range rep.Removed {
 		rep.Invalidated += s.cache.invalidateTimeline(name, 0)
-	}
-	for _, name := range rep.Added {
-		s.registerMountMetrics(name)
 	}
 	sort.Strings(rep.Kept)
 	sort.Strings(rep.Updated)

@@ -4,9 +4,9 @@
 //
 // Queries never re-simulate.  A mounted timeline is wrapped in an
 // experiments.Dataset built from injected snapshots
-// (experiments.NewTimelineDataset), day reconstruction goes through
-// the snapstore.Store LRU, day-range sweeps walk one snapstore cursor
-// forward, and finished figure encodings are kept in a
+// (experiments.NewTimelineDataset), snapshot statistics are read from
+// the per-day table the mount's validation walk records, and finished
+// figure encodings are kept in a
 // bounded result cache keyed on (timeline, figure, day-range, format)
 // with single-flight de-duplication, so concurrent identical requests
 // compute once and every later repeat is a byte-copy.
@@ -23,9 +23,9 @@
 //	    ?format=json|gob                response encoding (default json)
 //	GET /v1/compare/{id}                one figure across several scenarios
 //	    ?scenarios=A,B,C                mounts to compare (default: all)
-//	GET /v1/snapshots/{day}/stats       headline metrics of one reconstructed day
+//	GET /v1/snapshots/{day}/stats       headline metrics of one day
 //	    ?timeline=NAME&source=full|view
-//	GET /v1/snapshots/stats?days=LO-HI  per-day stats, one sequential delta walk
+//	GET /v1/snapshots/stats?days=LO-HI  per-day stats over a day range
 //	    ?timeline=NAME&source=full|view
 //
 // A scenario-sweep workspace (see internal/scenario and `sangen
@@ -44,6 +44,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,9 +70,6 @@ type Options struct {
 
 	// CacheEntries bounds the figure result cache (default 256).
 	CacheEntries int
-
-	// SnapCacheDays bounds each mount's snapstore LRU (default 8).
-	SnapCacheDays int
 
 	// Logger receives the structured access log and lifecycle events
 	// (default: discard).  Per-request lines log at Info with a
@@ -134,10 +132,6 @@ type Server struct {
 	// mounts is copy-on-write under reload: readers hold RLock only
 	// long enough to resolve a *Mount, which is immutable thereafter.
 	mounts map[string]*Mount
-	// mountMetricNames tracks which mount names already have store
-	// gauges registered; reloads re-use the name-based series instead
-	// of duplicating them (guarded by mu).
-	mountMetricNames map[string]bool
 
 	// reloadMu serializes ReloadWorkspace/MountWorkspace; s.mu is
 	// never held across the snapstore I/O they do.
@@ -157,6 +151,10 @@ type Server struct {
 	// wait for the handlers to unwind (see stream.go).
 	streamMu sync.Mutex
 	streams  map[*streamHandle]struct{}
+
+	// tableHits maps a mount name to its snapshot-table read counters
+	// (see tableHitsFor); entries outlive reloads.
+	tableHits sync.Map
 }
 
 // Mount is one served timeline pair: the full SAN sequence and the
@@ -176,14 +174,18 @@ type Mount struct {
 	gen    uint64
 	digest string
 
-	rows      []StreamRecord // each day's /v1/stream summary, from recordDays
+	// rows, fullStats and viewStats hold each day's /v1/stream summary
+	// and /v1/snapshots stats, recorded by recordDays; hits counts the
+	// stats records served, full then view.
+	rows      []StreamRecord
+	fullStats []SnapshotStats
+	viewStats []SnapshotStats
+	hits      *[2]atomic.Uint64
 	ds        *experiments.Dataset
-	fullStore *snapstore.Store
-	viewStore *snapstore.Store
 
 	// live, when non-nil, marks a live mount (MountLive): a timeline
 	// still being produced by a running simulation.  Live mounts serve
-	// only /v1/stream — Full/View/ds/stores are nil, since figures and
+	// only /v1/stream — Full/View/ds/tables are nil, since figures and
 	// snapshots need a finished, validated timeline.
 	live *snapstore.Live
 }
@@ -202,9 +204,6 @@ func New(opts Options) *Server {
 	if opts.CacheEntries <= 0 {
 		opts.CacheEntries = 256
 	}
-	if opts.SnapCacheDays <= 0 {
-		opts.SnapCacheDays = 8
-	}
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
 	}
@@ -216,18 +215,17 @@ func New(opts Options) *Server {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{
-		opts:             opts,
-		mux:              http.NewServeMux(),
-		cache:            newResultCache(opts.CacheEntries),
-		reg:              obs.NewRegistry(),
-		logger:           logger,
-		simProg:          obs.NewProgress("sanserve-datasets"),
-		gate:             obs.NewGate(opts.MaxBuilds),
-		mounts:           map[string]*Mount{},
-		mountMetricNames: map[string]bool{},
-		streams:          map[*streamHandle]struct{}{},
-		loadTimelines:    scenario.Timelines,
-		runFigure:        experiments.RunOn,
+		opts:          opts,
+		mux:           http.NewServeMux(),
+		cache:         newResultCache(opts.CacheEntries),
+		reg:           obs.NewRegistry(),
+		logger:        logger,
+		simProg:       obs.NewProgress("sanserve-datasets"),
+		gate:          obs.NewGate(opts.MaxBuilds),
+		mounts:        map[string]*Mount{},
+		streams:       map[*streamHandle]struct{}{},
+		loadTimelines: scenario.Timelines,
+		runFigure:     experiments.RunOn,
 	}
 	// Dataset builds forced by this server (fold walks on first touch,
 	// model simulations) report through the shared progress counters,
@@ -275,14 +273,13 @@ func (s *Server) mount(name string, full, view *snapstore.Timeline, run *scenari
 	}
 	s.mounts[name] = m
 	s.mu.Unlock()
-	s.registerMountMetrics(name)
 	return nil
 }
 
 // buildMount does all the expensive mount work — validation by
 // recordDays (which decodes every delta, so corrupt files are rejected
-// here instead of failing mid-request), dataset and store
-// construction — WITHOUT taking any server lock.  The returned *Mount
+// here instead of failing mid-request) and dataset construction —
+// WITHOUT taking any server lock.  The returned *Mount
 // is immutable and carries a fresh cache generation; callers insert
 // it into the table under a brief s.mu.Lock (mount, swap in
 // ReloadWorkspace).
@@ -301,7 +298,7 @@ func (s *Server) buildMount(name string, full, view *snapstore.Timeline, run *sc
 		return nil, fmt.Errorf("sanserve: mount %q: full has %d days but view has %d",
 			name, full.NumDays(), view.NumDays())
 	}
-	rows, err := recordDays(full, view)
+	rows, fullStats, viewStats, err := recordDays(name, full, view)
 	if err != nil {
 		return nil, fmt.Errorf("sanserve: mount %q: %w", name, err)
 	}
@@ -312,9 +309,10 @@ func (s *Server) buildMount(name string, full, view *snapstore.Timeline, run *sc
 		Run:       run,
 		gen:       s.mountGen.Add(1),
 		rows:      rows,
+		fullStats: fullStats,
+		viewStats: viewStats,
+		hits:      s.tableHitsFor(name),
 		ds:        experiments.NewTimelineDataset(s.opts.Cfg, full, view),
-		fullStore: snapstore.NewStore(full, s.opts.SnapCacheDays),
-		viewStore: snapstore.NewStore(view, s.opts.SnapCacheDays),
 	}
 	if run != nil {
 		m.digest = run.ContentDigest()
@@ -324,40 +322,51 @@ func (s *Server) buildMount(name string, full, view *snapstore.Timeline, run *sc
 }
 
 // recordDays walks full and, unless it is full, view through cursors
-// that decode every delta, and returns each day's stream summary.  The
-// two walks run concurrently.  A decode error names the timeline's
-// role; when both walks fail, the full walk's error is returned.
-func recordDays(full, view *snapstore.Timeline) ([]StreamRecord, error) {
-	walk := func(tl *snapstore.Timeline, role string) ([]StreamRecord, error) {
+// that decode every delta, and returns each day's stream summary and
+// the snapshot stats of both roles.  The two walks run concurrently.
+// A decode error names the timeline's role; when both walks fail, the
+// full walk's error is returned.
+func recordDays(name string, full, view *snapstore.Timeline) (rows []StreamRecord, fullStats, viewStats []SnapshotStats, err error) {
+	walk := func(tl *snapstore.Timeline, role string) ([]StreamRecord, []SnapshotStats, error) {
 		cur, err := snapstore.OpenCursorN([]*snapstore.Timeline{tl})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rows := make([]StreamRecord, tl.NumDays())
+		stats := make([]SnapshotStats, tl.NumDays())
 		for {
 			day, gs, ds, err := cur.Next(context.Background())
 			if err == snapstore.ErrDone {
-				return rows, nil
+				return rows, stats, nil
 			}
 			if err != nil {
-				return nil, fmt.Errorf("%s timeline: %w", role, err)
+				return nil, nil, fmt.Errorf("%s timeline: %w", role, err)
 			}
 			rows[day] = dayRecord(day+1, ds[0], gs[0])
+			stats[day] = snapshotStats(name, day+1, role, gs[0])
 		}
 	}
 	if view == full {
-		return walk(full, "full")
+		if rows, fullStats, err = walk(full, "full"); err != nil {
+			return nil, nil, nil, err
+		}
+		viewStats = slices.Clone(fullStats)
+		for day := range viewStats {
+			viewStats[day].Source = "view"
+		}
+		return rows, fullStats, viewStats, nil
 	}
-	var rows, vrows []StreamRecord
-	var err, verr error
-	par.Do(func() { rows, err = walk(full, "full") }, func() { vrows, verr = walk(view, "view") })
+	var vrows []StreamRecord
+	var verr error
+	par.Do(func() { rows, fullStats, err = walk(full, "full") },
+		func() { vrows, viewStats, verr = walk(view, "view") })
 	if err := cmp.Or(err, verr); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	for day := range vrows { // the view rows keep the full delta's growth counts
 		vrows[day].NewNodes, vrows[day].NewSocialLinks = rows[day].NewNodes, rows[day].NewSocialLinks
 	}
-	return vrows, nil
+	return vrows, fullStats, viewStats, nil
 }
 
 // MountFiles loads and mounts timeline files from disk.
@@ -448,10 +457,6 @@ func (s *Server) Analytics() *obs.Recorder { return s.rec }
 // Registry exposes the metric registry so embedding processes can
 // register their own series onto this server's /metrics page.
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// SimProgress exposes the dataset-build progress counters backing the
-// sanserve_sim_* gauges.
-func (s *Server) SimProgress() *obs.Progress { return s.simProg }
 
 // Close drains the analytics pipeline (folding every accepted row and
 // flushing the audit sink) and stops its worker.  The HTTP listener
@@ -773,8 +778,8 @@ func encodeFigure(resp FigureResponse, format string) ([]byte, string, error) {
 
 // --- /v1/snapshots ------------------------------------------------
 
-// SnapshotStats is the wire form of one reconstructed day's headline
-// metrics (the HTTP counterpart of `sanstore stat`).
+// SnapshotStats is the wire form of one day's headline metrics (the
+// HTTP counterpart of `sanstore stat`).
 type SnapshotStats struct {
 	Timeline      string  `json:"timeline"`
 	Day           int     `json:"day"`
@@ -788,7 +793,7 @@ type SnapshotStats struct {
 	AttrDensity   float64 `json:"attr_density"`
 }
 
-// snapshotStats flattens one reconstructed day into the wire form.
+// snapshotStats flattens one day's SAN into the wire form.
 func snapshotStats(timeline string, day int, source string, g *san.SAN) SnapshotStats {
 	st := g.Stats()
 	return SnapshotStats{
@@ -805,15 +810,16 @@ func snapshotStats(timeline string, day int, source string, g *san.SAN) Snapshot
 	}
 }
 
-// sourceStore resolves ?source=full|view (default full).
-func (m *Mount) sourceStore(r *http.Request) (*snapstore.Store, string, error) {
+// sourceStats resolves ?source=full|view (default full) to that role's
+// per-day stats and its hit counter.
+func (m *Mount) sourceStats(r *http.Request) ([]SnapshotStats, *atomic.Uint64, error) {
 	switch src := r.URL.Query().Get("source"); src {
 	case "", "full":
-		return m.fullStore, "full", nil
+		return m.fullStats, &m.hits[0], nil
 	case "view":
-		return m.viewStore, "view", nil
+		return m.viewStats, &m.hits[1], nil
 	default:
-		return nil, "", fmt.Errorf("unknown source %q (full or view)", src)
+		return nil, nil, fmt.Errorf("unknown source %q (full or view)", src)
 	}
 }
 
@@ -833,24 +839,17 @@ func (s *Server) handleSnapshotStats(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("day %q outside timeline [1,%d]", r.PathValue("day"), m.Full.NumDays()))
 		return
 	}
-	store, srcName, err := m.sourceStore(r)
+	stats, hits, err := m.sourceStats(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.met.snapshotRequests.Add(1)
-	g, err := store.Snapshot(day - 1)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, snapshotStats(m.Name, day, srcName, g))
+	hits.Add(1)
+	writeJSON(w, stats[day-1])
 }
 
-// handleStatsSweep computes per-day stats over a day range with one
-// cursor: Seek replays the deltas up to the first requested day, then
-// each Next applies one more day — one decode of day 0 plus one delta
-// per day, not one reconstruction per day.
+// handleStatsSweep serves per-day stats over a day range.
 func (s *Server) handleStatsSweep(w http.ResponseWriter, r *http.Request) {
 	m, err := s.mountFor(r)
 	if err != nil {
@@ -866,38 +865,12 @@ func (s *Server) handleStatsSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	store, srcName, err := m.sourceStore(r)
+	stats, hits, err := m.sourceStats(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.met.snapshotRequests.Add(1)
-	out, err := sweepStats(r.Context(), m.Name, srcName, store.Timeline(), lo, hi)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, map[string]any{"stats": out})
-}
-
-// sweepStats walks tl forward once and returns the stats of 1-based
-// days lo..hi.
-func sweepStats(ctx context.Context, name, src string, tl *snapstore.Timeline, lo, hi int) ([]SnapshotStats, error) {
-	cur, err := snapstore.OpenCursorN([]*snapstore.Timeline{tl})
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	if err := cur.Seek(lo - 1); err != nil {
-		return nil, err
-	}
-	out := make([]SnapshotStats, 0, hi-lo+1)
-	for day := lo; day <= hi; day++ {
-		_, gs, _, err := cur.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, snapshotStats(name, day, src, gs[0]))
-	}
-	return out, nil
+	hits.Add(uint64(hi - lo + 1))
+	writeJSON(w, map[string]any{"stats": stats[lo-1 : hi]})
 }

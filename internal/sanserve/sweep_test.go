@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -80,4 +81,56 @@ func TestStatsSweepMatchesReconstruction(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSingleFileMountSnapshotStats pins both snapshot endpoints of a
+// mount whose view is nil (full serves both roles): every day, for
+// source=full and source=view, must equal the stats of that day rebuilt
+// with ReconstructAt, labelled with the requested source.
+func TestSingleFileMountSnapshotStats(t *testing.T) {
+	full, _ := testTimelines(t)
+	s := New(Options{Cfg: testConfig()})
+	if err := s.Mount("single", full, nil); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	n := full.NumDays()
+	for _, src := range []string{"full", "view"} {
+		var want []SnapshotStats
+		for i := 0; i < n; i++ {
+			g, err := full.ReconstructAt(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, snapshotStats("single", i+1, src, g))
+		}
+		for day := 1; day <= n; day++ {
+			rec := get(t, h, fmt.Sprintf("/v1/snapshots/%d/stats?source=%s", day, src))
+			if rec.Code != 200 {
+				t.Fatalf("%s day %d: %d %s", src, day, rec.Code, rec.Body.String())
+			}
+			var got SnapshotStats
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if got != want[day-1] {
+				t.Errorf("%s day %d: served %+v, reconstructed %+v", src, day, got, want[day-1])
+			}
+		}
+		got, err := sweepRecords(t, h, fmt.Sprintf("/v1/snapshots/stats?days=1-%d&source=%s", n, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s sweep: served %+v, reconstructed %+v", src, got, want)
+		}
+	}
+	// Each source served n single days and one n-day sweep.
+	body := get(t, h, "/metrics").Body.String()
+	for _, src := range []string{"full", "view"} {
+		want := fmt.Sprintf(`sanserve_store_hits_total{source=%q,timeline="single"} %d`, src, 2*n)
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("metrics output missing %q", want)
+		}
+	}
 }

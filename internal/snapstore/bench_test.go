@@ -81,7 +81,7 @@ func BenchmarkResimulateFinalDay(b *testing.B) {
 
 // BenchmarkTimelineMap measures a sequential sweep over the full
 // 98-day range — one cursor, one decode of day 0 and one delta replay
-// per later day, the walk behind /v1/snapshots/stats — with one cheap
+// per later day, the walk sanserve's mount validation makes — with one cheap
 // deterministic metric per day, so the number reflects replay
 // throughput, not metric cost.
 func BenchmarkTimelineMap(b *testing.B) {

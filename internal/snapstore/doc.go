@@ -3,7 +3,7 @@
 // days in this reproduction) packed into one compact, structure-sharing
 // container.
 //
-// The layer has four parts:
+// The layer has three parts:
 //
 //   - a binary snapshot format (EncodeSnapshot/DecodeSnapshot):
 //     CSR-packed social out-adjacency, attribute links and the
@@ -16,9 +16,6 @@
 //     serializable to a single file (WriteTo/ReadTimeline), packed
 //     through one of two DaySinks: Live in memory, StreamWriter on
 //     disk;
-//   - a concurrent Store with a bounded snapshot cache and
-//     single-flight reconstruction, so concurrent readers of the same
-//     day do the work once and nearby days reuse cached ancestors;
 //   - a pull-based CursorN that walks every day in order over one
 //     evolving SAN per timeline, handing incremental consumers each
 //     day's parsed Delta.

@@ -2,7 +2,6 @@ package snapstore_test
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"repro/internal/gplus"
@@ -74,67 +73,5 @@ func TestGplusTimelineRoundTrip(t *testing.T) {
 	}
 	if full.Size() >= fullSize/3 {
 		t.Errorf("delta timeline %d bytes, %d as full snapshots: expected >3x sharing", full.Size(), fullSize)
-	}
-}
-
-// TestStoreCacheAndSingleFlight hammers one store from many
-// goroutines and verifies results are correct, cached, and bounded.
-func TestStoreCacheAndSingleFlight(t *testing.T) {
-	cfg := testCfg()
-	cfg.Days = 30
-	sim := gplus.New(cfg)
-	tl, _, err := sim.RunTimelines(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := tl.ReconstructAt(29)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st := snapstore.NewStore(tl, 4)
-	var wg sync.WaitGroup
-	var hits [8]*san.SAN
-	for i := range hits {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g, err := st.Snapshot(29)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			hits[i] = g
-		}(i)
-	}
-	wg.Wait()
-	for i, g := range hits {
-		if g == nil {
-			t.Fatalf("worker %d got nil snapshot", i)
-		}
-		if g != hits[0] {
-			t.Error("concurrent readers of one day should share the single-flight result")
-		}
-	}
-	if err := snapstore.SameSAN(want, hits[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	// Walk many distinct days: the cache must stay within its bound.
-	for day := 0; day < 30; day++ {
-		if _, err := st.Snapshot(day); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := st.CachedDays(); n > 4 {
-		t.Errorf("cache holds %d entries, bound is 4", n)
-	}
-
-	// Out-of-range days error.
-	if _, err := st.Snapshot(-1); err == nil {
-		t.Error("negative day should error")
-	}
-	if _, err := st.Snapshot(30); err == nil {
-		t.Error("day past the end should error")
 	}
 }
