@@ -23,8 +23,9 @@ import (
 // list with its node's degrees, so it follows the append-only graph
 // without any bookkeeping in Feed.  Measure runs its estimators in two
 // concurrent lanes; the cache belongs to the rng lane (the clustering
-// and attribute-diameter estimators) and the other lane never touches
-// it.
+// and attribute-diameter estimators), whose sequential draws are its
+// only callers — the clustering probes that fan out after each draw
+// and the other lane never touch it.
 type DayFolder struct {
 	cfg Config
 	soc *metrics.SocialDegreeAccum

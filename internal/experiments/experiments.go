@@ -366,7 +366,9 @@ func measureTimelines(ds *Dataset) error {
 // Two concurrent lanes only read the graphs and write their own fields
 // of m: the rng lane (the three rng consumers, in order, and the only
 // caller of neighbors) and the rng-free lane (assortativities, stats,
-// HyperANF).
+// HyperANF).  Within the rng lane each clustering estimator draws its
+// samples sequentially, keeping the rng order, and then probes them on
+// every core.
 func measureDaySampled(cfg Config, day int, full, view *san.SAN, neighbors func(*san.SAN, san.NodeID) []san.NodeID) DayMetrics {
 	m := DayMetrics{
 		Day:           day,

@@ -134,23 +134,26 @@ func TestTimelineDatasetMatchesSimulation(t *testing.T) {
 
 // TestDatasetBuildIndependentOfGOMAXPROCS pins the fan-out of the
 // cold pass to its schedule: a timeline dataset built and charted at
-// GOMAXPROCS 1 and at 2 gives the same per-day records and the same
-// bits in all registry figures.  Each run keys the model caches apart
-// with a Progress of its own, so both generate their models.
+// GOMAXPROCS 1, 2 and 3 gives the same per-day records and the same
+// bits in all registry figures.  An odd worker count splits the
+// clustering estimators' probe chunks unevenly.  Each run keys the
+// model caches apart with a Progress of its own, so every run
+// generates its models.
 func TestDatasetBuildIndependentOfGOMAXPROCS(t *testing.T) {
 	sim := GetDataset(qc())
 	type run struct {
-		days []DayMetrics
-		figs []Figure
+		procs int
+		days  []DayMetrics
+		figs  []Figure
 	}
 	var runs []run
-	for _, procs := range []int{1, 2} {
+	for _, procs := range []int{1, 2, 3} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			cfg := qc()
 			cfg.Progress = &obs.Progress{}
 			ds := NewTimelineDataset(cfg, sim.FullTimeline(), sim.ViewTimeline())
-			r := run{days: ds.Days()}
+			r := run{procs: procs, days: ds.Days()}
 			for _, id := range IDs() {
 				fig, err := RunOn(id, ds)
 				if err != nil {
@@ -161,18 +164,20 @@ func TestDatasetBuildIndependentOfGOMAXPROCS(t *testing.T) {
 			runs = append(runs, r)
 		}()
 	}
-	a, b := runs[0], runs[1]
-	if len(a.days) != len(b.days) {
-		t.Fatalf("%d days at GOMAXPROCS 1, %d at 2", len(a.days), len(b.days))
-	}
-	for i := range a.days {
-		if err := sameDayMetrics(a.days[i], b.days[i]); err != nil {
-			t.Fatalf("day %d differs between GOMAXPROCS 1 and 2: %v", i+1, err)
+	a := runs[0]
+	for _, b := range runs[1:] {
+		if len(a.days) != len(b.days) {
+			t.Fatalf("%d days at GOMAXPROCS 1, %d at %d", len(a.days), len(b.days), b.procs)
 		}
-	}
-	for i, id := range IDs() {
-		if err := sameFigure(a.figs[i], b.figs[i]); err != nil {
-			t.Errorf("figure %s differs between GOMAXPROCS 1 and 2: %v", id, err)
+		for i := range a.days {
+			if err := sameDayMetrics(a.days[i], b.days[i]); err != nil {
+				t.Fatalf("day %d differs between GOMAXPROCS 1 and %d: %v", i+1, b.procs, err)
+			}
+		}
+		for i, id := range IDs() {
+			if err := sameFigure(a.figs[i], b.figs[i]); err != nil {
+				t.Errorf("figure %s differs between GOMAXPROCS 1 and %d: %v", id, b.procs, err)
+			}
 		}
 	}
 }

@@ -70,12 +70,19 @@ func knnPoints(sum map[int]float64, cnt map[int]int) []KnnPoint {
 // the outdegree of the source u and the indegree of the target v.
 // It ranges over [-1, 1]; Google+ is near 0 (Figure 7b).
 //
-// The edge sample is iterated in place (twice) instead of being
-// materialized: the per-day sweeps of the experiments layer call this
-// on every snapshot, and two O(|Es|) float slices per day is the
-// dominant allocation there.
+// The edge sample is never materialized: the per-day sweeps of the
+// experiments layer call this on every snapshot.  The means come from
+// O(|Vs|) degree sums — each u is the source of out(u) edges and each
+// v the target of in(v), so Σx = Σu out(u)² and Σy = Σv in(v)² — and
+// only the moments walk the edges.
 func SocialAssortativity(g *san.SAN) float64 {
-	return pearsonOver(g.NumSocialEdges(), func(visit func(x, y float64)) {
+	var sx, sy int
+	for u := 0; u < g.NumSocial(); u++ {
+		out, in := g.OutDegree(san.NodeID(u)), g.InDegree(san.NodeID(u))
+		sx += out * out
+		sy += in * in
+	}
+	return pearsonOver(g.NumSocialEdges(), sx, sy, func(visit func(x, y float64)) {
 		g.ForEachSocialEdge(func(u, v san.NodeID) {
 			visit(float64(g.OutDegree(u)), float64(g.InDegree(v)))
 		})
@@ -85,9 +92,19 @@ func SocialAssortativity(g *san.SAN) float64 {
 // AttrAssortativity returns the attribute assortativity coefficient of
 // §4.1: the Pearson correlation, over attribute links (u, a), between
 // the social degree of the attribute node a and the attribute degree
-// of the social node u (Figure 12b).
+// of the social node u (Figure 12b).  As in SocialAssortativity, the
+// means come from degree sums: Σx = Σa |Γs(a)|² and Σy = Σu |Γa(u)|².
 func AttrAssortativity(g *san.SAN) float64 {
-	return pearsonOver(g.NumAttrEdges(), func(visit func(x, y float64)) {
+	var sx, sy int
+	for a := 0; a < g.NumAttrs(); a++ {
+		k := g.SocialDegreeOfAttr(san.AttrID(a))
+		sx += k * k
+	}
+	for u := 0; u < g.NumSocial(); u++ {
+		k := g.AttrDegree(san.NodeID(u))
+		sy += k * k
+	}
+	return pearsonOver(g.NumAttrEdges(), sx, sy, func(visit func(x, y float64)) {
 		for a := 0; a < g.NumAttrs(); a++ {
 			k := float64(g.SocialDegreeOfAttr(san.AttrID(a)))
 			for _, u := range g.Members(san.AttrID(a)) {
@@ -97,23 +114,21 @@ func AttrAssortativity(g *san.SAN) float64 {
 	})
 }
 
-// pearsonOver computes the Pearson correlation of a paired sample
-// delivered by re-running an iterator (once for the means, once for
-// the moments), mirroring stats.Pearson's two-pass formula without
-// materializing the sample.  n is the number of pairs the iterator
-// yields.  metrics stays free of the stats dependency (metrics is a
-// measurement layer; stats is a modeling one).
-func pearsonOver(n int, each func(visit func(x, y float64))) float64 {
+// pearsonOver computes the Pearson correlation of n pairs with integer
+// sums sx = Σx and sy = Σy, delivered by an iterator for the moments,
+// mirroring stats.Pearson's two-pass formula without materializing the
+// sample.  The means are the sums over n: a float sum of the
+// integer-valued pairs is exact while every partial sum stays below
+// 2^53, which holds whenever n · max degree < 2^53, so taking them from
+// integer sums gives the two-pass means bit for bit.  metrics stays
+// free of the stats dependency (metrics is a measurement layer; stats
+// is a modeling one).
+func pearsonOver(n, sx, sy int, each func(visit func(x, y float64))) float64 {
 	if n == 0 {
 		return 0
 	}
-	var mx, my float64
-	each(func(x, y float64) {
-		mx += x
-		my += y
-	})
-	mx /= float64(n)
-	my /= float64(n)
+	mx := float64(sx) / float64(n)
+	my := float64(sy) / float64(n)
 	var cov, vx, vy float64
 	each(func(x, y float64) {
 		dx, dy := x-mx, y-my

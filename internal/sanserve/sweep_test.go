@@ -31,9 +31,10 @@ func sweepRecords(t *testing.T, h http.Handler, path string) ([]SnapshotStats, e
 // TestStatsSweepMatchesReconstruction pins /v1/snapshots/stats to the
 // timeline itself: every day of a full ?days= sweep, for both sources,
 // must equal the stats of that day rebuilt with ReconstructAt, and
-// sub-ranges (whose cursor Seeks past a prefix) must return the same
-// records.  Concurrent sweeps and single-day reads then share the
-// mount, so `go test -race` covers the sweep beside the store.
+// sub-ranges (slices of the per-day table the mount recorded in its
+// validation walk) must return the same records.  Concurrent sweeps and
+// single-day reads then share the mount's table, so `go test -race`
+// covers both endpoints reading it at once.
 func TestStatsSweepMatchesReconstruction(t *testing.T) {
 	h := newTestServer(t, Options{}).Handler()
 	full, view := testTimelines(t)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/par"
 	"repro/internal/san"
 )
 
@@ -179,41 +180,52 @@ func (c *CursorN) waitAll(ctx context.Context, day int) (bool, error) {
 // advance applies day c.next to the evolving graphs.  When capture is
 // set the decoded growth lands in c.ds (allocated on first use); a
 // Seek advance skips the capture entirely, which is what makes the
-// replay cheaper than a visited walk.
+// replay cheaper than a visited walk.  Each source owns its graph and
+// its Delta, so the sources apply on their own workers; after the join
+// the lowest-index source's error wins, as a sequential walk would
+// report it.
 func (c *CursorN) advance(capture bool) error {
 	day := c.next
 	if day == 0 {
 		c.gs = make([]*san.SAN, len(c.srcs))
-		for i, src := range c.srcs {
-			g, err := DecodeSnapshot(src.dayRecord(0))
-			if err != nil {
-				return fmt.Errorf("snapstore: day 0: %w", err)
-			}
-			c.gs[i] = g
-		}
-		if capture {
-			c.ensureDeltas()
-			for i, g := range c.gs {
-				c.ds[i].reset()
-				c.ds[i].fromSnapshot(g)
-			}
-		}
-	} else {
-		if capture {
-			c.ensureDeltas()
-		}
-		for i, src := range c.srcs {
-			var d *Delta
-			if capture {
-				c.ds[i].reset()
-				d = c.ds[i]
-			}
-			if err := applyDeltaInto(c.gs[i], src.dayRecord(day), d); err != nil {
-				return fmt.Errorf("snapstore: day %d: %w", day, err)
-			}
+	}
+	if capture {
+		c.ensureDeltas()
+	}
+	errs := make([]error, len(c.srcs))
+	par.For(len(c.srcs), func(i int) {
+		errs[i] = c.apply(i, day, capture)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return fmt.Errorf("snapstore: day %d: %w", day, err)
 		}
 	}
 	c.next = day + 1
+	return nil
+}
+
+// apply advances source i's graph to day: day 0 decodes the base
+// snapshot (its capture lists the whole snapshot), every later day
+// applies its delta in place.
+func (c *CursorN) apply(i, day int, capture bool) error {
+	rec := c.srcs[i].dayRecord(day)
+	var d *Delta
+	if capture {
+		d = c.ds[i]
+		d.reset()
+	}
+	if day > 0 {
+		return applyDeltaInto(c.gs[i], rec, d)
+	}
+	g, err := DecodeSnapshot(rec)
+	if err != nil {
+		return err
+	}
+	c.gs[i] = g
+	if d != nil {
+		d.fromSnapshot(g)
+	}
 	return nil
 }
 

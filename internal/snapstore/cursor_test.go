@@ -1,8 +1,11 @@
 package snapstore_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gplus"
@@ -254,5 +257,85 @@ func TestLiveTailCancel(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("blocked Next after cancel: %v, want context.Canceled", err)
+	}
+}
+
+// setDayTag returns a copy of tl whose day record day starts with tag
+// instead of the delta tag, so applying it fails naming that tag.
+func setDayTag(t *testing.T, tl *snapstore.Timeline, day int, tag byte) *snapstore.Timeline {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tl.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	off := len(b)
+	for i := day; i < tl.NumDays(); i++ {
+		off -= tl.DaySize(i)
+	}
+	b[off] = tag
+	bad, err := snapstore.ReadTimeline(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bad
+}
+
+// TestCursorCorruptDayErrors pins the error of a lockstep walk whose
+// sources apply each day concurrently: a corrupt day in source 0, in
+// source 1 or in both fails Next (and a Seek across it) with one error
+// naming the day, and with both corrupt the error is source 0's.
+func TestCursorCorruptDayErrors(t *testing.T) {
+	cfg := testCfg()
+	cfg.Days = 8
+	full, view, err := gplus.New(cfg).RunTimelines(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const day = 5
+	bad0, bad1 := setDayTag(t, full, day, 'X'), setDayTag(t, view, day, 'Y')
+	for _, c := range []struct {
+		name       string
+		full, view *snapstore.Timeline
+		tag        string
+	}{
+		{"source 0", bad0, view, "'X'"},
+		{"source 1", full, bad1, "'Y'"},
+		{"both", bad0, bad1, "'X'"},
+	} {
+		check := func(how string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%s: %s crossed corrupt day %d without error", c.name, how, day)
+			}
+			msg := err.Error()
+			if !strings.HasPrefix(msg, fmt.Sprintf("snapstore: day %d: ", day)) ||
+				strings.Count(msg, "snapstore: day") != 1 || !strings.Contains(msg, "(tag "+c.tag+")") {
+				t.Errorf("%s: %s error %q, want one day-%d error with tag %s", c.name, how, msg, day, c.tag)
+			}
+		}
+
+		cur, err := snapstore.OpenCursorN([]*snapstore.Timeline{c.full, c.view})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			d, _, _, err := cur.Next(context.Background())
+			if err != nil {
+				check("Next", err)
+				break
+			}
+			if d >= day {
+				t.Fatalf("%s: Next returned day %d past the corrupt day", c.name, d)
+			}
+		}
+		cur.Close()
+
+		cur, err = snapstore.OpenCursorN([]*snapstore.Timeline{c.full, c.view})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Seek", cur.Seek(day+1))
+		cur.Close()
 	}
 }

@@ -2,6 +2,8 @@ package snapstore
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math/rand/v2"
 	"testing"
 
@@ -53,7 +55,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 // FuzzDecodeTimeline: arbitrary bytes either fail to parse as a
 // timeline container or yield a timeline whose every day either
-// reconstructs into a valid SAN or errors — never panics.
+// reconstructs into a valid SAN or errors — never panics.  A lockstep
+// cursor over two copies of the timeline (whose sources apply each
+// day concurrently) must fail exactly when the reconstruction does,
+// and otherwise end on the same counts in both sources.
 func FuzzDecodeTimeline(f *testing.F) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	for i := 0; i < 3; i++ {
@@ -87,11 +92,41 @@ func FuzzDecodeTimeline(f *testing.F) {
 			return
 		}
 		g, err := tl.ReconstructAt(tl.NumDays() - 1)
+		gs, walkErr := walkToEnd(tl, tl)
+		if (err == nil) != (walkErr == nil) {
+			t.Fatalf("ReconstructAt error %v, but a two-source cursor walk error %v", err, walkErr)
+		}
 		if err != nil {
 			return // corrupt day records are rejected lazily
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("reconstructed SAN is invalid: %v", err)
 		}
+		for i, h := range gs {
+			if h.Stats() != g.Stats() {
+				t.Fatalf("cursor source %d ends on %+v, ReconstructAt on %+v", i, h.Stats(), g.Stats())
+			}
+		}
 	})
+}
+
+// walkToEnd walks a lockstep cursor over tls through every day and
+// returns the final day's graphs, or the first error.
+func walkToEnd(tls ...*Timeline) ([]*san.SAN, error) {
+	cur, err := OpenCursorN(tls)
+	if err != nil {
+		return nil, err
+	}
+	defer cur.Close()
+	var gs []*san.SAN
+	for {
+		_, next, _, err := cur.Next(context.Background())
+		if errors.Is(err, ErrDone) {
+			return gs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		gs = next
+	}
 }
