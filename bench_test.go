@@ -145,9 +145,8 @@ func BenchmarkSimulate(b *testing.B) {
 }
 
 // BenchmarkStreamPack measures the streaming pack path at the same
-// quick scale as BenchmarkSimulate: StreamTimelines through a
-// snapstore.StreamWriter to a finalized on-disk timeline, the kernel
-// behind `sangen -stream-out` and every crawl-scale run.  It streams
+// quick scale as BenchmarkSimulate: StreamTimelines through one
+// snapstore.StreamWriter to a finalized on-disk timeline.  It streams
 // only the full SAN (no view sink), so it runs under
 // BenchmarkSimulate, which also encodes the crawl view each day; the
 // committed baseline pins the cost of spilling every day to disk.
@@ -171,10 +170,11 @@ func BenchmarkStreamPack(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamPackBoth is the full+view streamed pack — the `sangen
-// sweep` / workspace configuration: simulate, and delta-encode the full
-// SAN and its crawl view (filtered from the full SAN as it is encoded,
-// no view copy) to on-disk StreamWriters on one goroutine.
+// BenchmarkStreamPackBoth is the full+view streamed pack — the kernel
+// behind `sangen -stream-out`, `sangen sweep` and every crawl-scale
+// run: simulate, and delta-encode the full SAN and its crawl view
+// (filtered from the full SAN as it is encoded, no view copy) to
+// on-disk StreamWriters on one goroutine.
 func BenchmarkStreamPackBoth(b *testing.B) {
 	dir := b.TempDir()
 	b.ReportAllocs()
@@ -254,7 +254,9 @@ func BenchmarkGplusSimulation(b *testing.B) {
 		cfg := gplus.DefaultConfig()
 		cfg.DailyBase = 100
 		cfg.Seed = uint64(i + 1)
-		gplus.New(cfg).Run(nil)
+		if err := gplus.New(cfg).StreamTimelines(1, 0, nil, nil, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

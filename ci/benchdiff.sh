@@ -38,11 +38,12 @@ SANSERVE_BENCHES='^(BenchmarkCachedFigureRequest|BenchmarkCachedCompareRequest|B
 # The incremental dataset build (the first-touch cost of a sanserve
 # mount) and the simulator core (BenchmarkSimulate: quick-scale
 # RunTimelines with its allocation ceiling; BenchmarkStreamPack: the
-# same simulation streamed through a StreamWriter to a finalized
-# on-disk timeline, the `sangen -stream-out` kernel; BenchmarkSweep:
-# the parallel scenario sweep).  StreamPackBoth is the full+view
-# stream (simulate, then two delta encodes: the full SAN, and its crawl
-# view filtered from the full SAN as it is encoded, with no view copy).
+# same simulation streamed through one StreamWriter to a finalized
+# on-disk full timeline; BenchmarkSweep: the parallel scenario sweep).
+# BenchmarkStreamPackBoth is the `sangen -stream-out` kernel: the
+# full+view stream (simulate, then two delta encodes: the full SAN, and
+# its crawl view filtered from the full SAN as it is encoded, with no
+# view copy).
 ROOT_BENCHES='^(BenchmarkDatasetBuild|BenchmarkSimulate|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkSweep)$'
 
 raw=$(mktemp)

@@ -1,19 +1,19 @@
 #!/bin/sh
 # streamapi: end-to-end smoke of the /v1/stream evolution API over a
-# real socket.  Packs a quick 98-day timeline pair (full SAN plus the
-# -observed crawl view), starts sanserve on the pair, and asserts
-# (1) a full NDJSON stream serves one row per day plus a terminal done
-# record with the right row count, (2) a from=20&to=75 walk is exactly
-# lines 20-75 of the full walk plus {"done":true,"rows":56}, (3) the
-# summaries-only walk is the metrics walk with each row's "metrics"
-# object stripped, (4) /v1/snapshots/stats?days=1-N&source=view serves
-# one record per day whose node and link totals equal the summaries
-# walk's, and /v1/snapshots/N/stats?source=view equals its last record,
-# (5) killing the client mid-stream is noticed by the server and
-# counted in sanserve_streams_canceled_total.  Concurrent
-# full walks on a single-file mount, each ending in its done record,
-# are checked by TestConcurrentStreamWalks in cmd/sanserve (the
-# load-smoke CI job).
+# real socket.  Packs a quick 98-day timeline pair (the full SAN and
+# its crawl view) with one `sangen -stream-out` run, starts sanserve on
+# the pair, and asserts (1) a full NDJSON stream serves one row per
+# day plus a terminal done record with the right row count, (2) a
+# from=20&to=75 walk is exactly lines 20-75 of the full walk plus
+# {"done":true,"rows":56}, (3) the summaries-only walk is the metrics
+# walk with each row's "metrics" object stripped, (4)
+# /v1/snapshots/stats?days=1-N&source=view serves one record per day
+# whose node and link totals equal the summaries walk's, and
+# /v1/snapshots/N/stats?source=view equals its last record, (5)
+# killing the client mid-stream is noticed by the server and counted
+# in sanserve_streams_canceled_total.  Concurrent full walks on a
+# single-file mount, each ending in its done record, are checked by
+# TestConcurrentStreamWalks in cmd/sanserve (the load-smoke CI job).
 #
 # Run from the repository root: sh ci/streamapi.sh
 set -eu
@@ -36,12 +36,11 @@ fail() {
 }
 
 echo "streamapi: packing a scale-$SCALE timeline pair"
-go run ./cmd/sanstore pack -out "$tmp/gplus.tl" -scale "$SCALE" -seed 7 >/dev/null
-go run ./cmd/sanstore pack -out "$tmp/view.tl" -scale "$SCALE" -seed 7 -observed >/dev/null
+go run ./cmd/sangen -model gplus -scale "$SCALE" -seed 7 -stream-out "$tmp/gplus"
 
 echo "streamapi: building and starting sanserve on :$PORT"
 go build -o "$tmp/sanserve" ./cmd/sanserve
-"$tmp/sanserve" -mount "gplus=$tmp/gplus.tl,$tmp/view.tl" -addr "127.0.0.1:$PORT" >"$tmp/srv.log" 2>&1 &
+"$tmp/sanserve" -mount "gplus=$tmp/gplus.full.tl,$tmp/gplus.view.tl" -addr "127.0.0.1:$PORT" >"$tmp/srv.log" 2>&1 &
 SRV_PID=$!
 
 i=0

@@ -5,8 +5,9 @@
 # (TestStreamCrawlScaleBoundedRSS in cmd/sangen) with the scale knobs
 # dialed down so it finishes in CI minutes instead of hours: a streamed
 # `sangen -stream-out` run, an interrupted twin resumed from its
-# checkpoint (must be bitwise-identical), and a peak-RSS budget that a
-# full-timeline-in-memory regression would blow through.
+# checkpoint (both files of the pair must be bitwise-identical), and a
+# peak-RSS budget that a full-timeline-in-memory regression would blow
+# through.
 #
 #   sh ci/streamsmoke.sh
 #

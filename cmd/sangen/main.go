@@ -7,6 +7,13 @@
 //	sangen -model san -n 20000 > san.txt
 //	sangen -model gplus -scale 400 -observed -o crawl.txt
 //
+// Stream mode packs one gplus run as the full+view timeline pair
+// (gplus.full.tl and gplus.view.tl here) with bounded memory, ready for
+// `sanserve -mount gplus=gplus.full.tl,gplus.view.tl`:
+//
+//	sangen -model gplus -scale 400 -stream-out gplus [-checkpoint-every 7]
+//	sangen -resume gplus.ckpt
+//
 // Three generators are available: -model san (the paper's generative
 // model, LAPA + RR-SAN, §5.3), -model zhel (the directed Zheleva et
 // al. baseline, §6), and -model gplus (the three-phase Google+
@@ -209,12 +216,12 @@ func runGenerate(args []string, w io.Writer) error {
 		n         = fs.Int("n", 10000, "node arrivals (san/zhel models)")
 		scale     = fs.Int("scale", 400, "gplus DailyBase arrival scale")
 		seed      = fs.Uint64("seed", 1, "random seed")
-		observed  = fs.Bool("observed", false, "gplus: emit the crawl view (declared attributes only)")
+		observed  = fs.Bool("observed", false, "gplus text output: emit the crawl view (declared attributes only)")
 		out       = fs.String("o", "", "output file (default stdout)")
 		beta      = fs.Float64("beta", 200, "san: LAPA attribute weight β")
 		focal     = fs.Float64("fc", 1, "san: focal-closure weight fc")
 		days      = fs.Int("days", 0, "gplus: override the simulated horizon (0 = default)")
-		streamOut = fs.String("stream-out", "", "gplus: stream a packed timeline to this file (bounded memory; no text output)")
+		streamOut = fs.String("stream-out", "", "gplus: stream the packed timeline pair to PREFIX.full.tl and PREFIX.view.tl (bounded memory; no text output)")
 		ckptEvery = fs.Int("checkpoint-every", 0, "with -stream-out: persist resumable state every N days (0 = never)")
 		resume    = fs.String("resume", "", "continue an interrupted -stream-out run from its checkpoint directory")
 		stopAfter = fs.Int("stop-after", 0, "with -stream-out: stop after day N, leaving a checkpoint to resume from")
@@ -238,6 +245,9 @@ func runGenerate(args []string, w io.Writer) error {
 	}
 	if *streamOut == "" && (*ckptEvery > 0 || *stopAfter > 0 || *serveAddr != "") {
 		return fmt.Errorf("-checkpoint-every, -stop-after and -serve require -stream-out")
+	}
+	if *streamOut != "" && *observed {
+		return fmt.Errorf("-observed selects text output; -stream-out always packs both the full SAN and its crawl view")
 	}
 
 	var g *san.SAN
@@ -266,10 +276,12 @@ func runGenerate(args []string, w io.Writer) error {
 			return err
 		}
 		if *streamOut != "" {
-			return runStream(cfg, *streamOut, *observed, *ckptEvery, *stopAfter, *progress, *serveAddr)
+			return runStream(cfg, *streamOut, *ckptEvery, *stopAfter, *progress, *serveAddr)
 		}
 		sim := gplus.New(cfg)
-		sim.Run(nil)
+		if err := sim.StreamTimelines(1, 0, nil, nil, nil); err != nil {
+			return err
+		}
 		if *observed {
 			g = sim.CrawlView()
 		} else {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/snapstore"
 )
 
@@ -18,8 +19,8 @@ import (
 // the streaming pack path: a `sangen -stream-out` run at a scale the
 // in-memory Live sink cannot hold must complete with peak RSS bounded by
 // the live network (not the timeline), and an interrupted twin of the
-// same run, resumed from its checkpoint, must finalize to a
-// bitwise-identical file.
+// same run, resumed from its checkpoint, must finalize both files of
+// the full+view pair bitwise-identical.
 //
 // At the default scale (DailyBase 150000 -> ~5.1M users over 98 days)
 // this simulates the full horizon twice and takes a long while on one
@@ -35,8 +36,8 @@ func TestStreamCrawlScaleBoundedRSS(t *testing.T) {
 	daily := envInt(t, "SAN_STREAM_DAILY", 150000)
 	budgetMB := envInt(t, "SAN_STREAM_RSS_MB", 24576)
 	dir := t.TempDir()
-	ref := filepath.Join(dir, "ref.tl")
-	got := filepath.Join(dir, "got.tl")
+	ref := filepath.Join(dir, "ref")
+	got := filepath.Join(dir, "got")
 	var out bytes.Buffer
 	base := []string{"-model", "gplus", "-scale", strconv.Itoa(daily), "-seed", "42", "-progress"}
 
@@ -67,14 +68,19 @@ func TestStreamCrawlScaleBoundedRSS(t *testing.T) {
 			peak>>20, budgetMB)
 	}
 
-	if !filesEqual(t, ref, got) {
-		t.Error("resumed run is not bitwise-identical to the uninterrupted run")
+	refFull, refView := scenario.PairFiles(ref)
+	gotFull, gotView := scenario.PairFiles(got)
+	if !filesEqual(t, refFull, gotFull) {
+		t.Error("resumed full timeline is not bitwise-identical to the uninterrupted run's")
+	}
+	if !filesEqual(t, refView, gotView) {
+		t.Error("resumed view timeline is not bitwise-identical to the uninterrupted run's")
 	}
 
 	// The packed artifact must cover the full horizon and reconstruct
 	// to a network of the expected scale (~34 arrivals per DailyBase
 	// unit; >= 5M social nodes at the default scale).
-	tl, err := snapstore.LoadFile(ref)
+	tl, err := snapstore.LoadFile(refFull)
 	if err != nil {
 		t.Fatal(err)
 	}

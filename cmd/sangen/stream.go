@@ -20,63 +20,77 @@ import (
 	"repro/internal/obs"
 	"repro/internal/san"
 	"repro/internal/sanserve"
+	"repro/internal/scenario"
 	"repro/internal/snapstore"
 )
 
-// Streaming generation: `sangen -model gplus -stream-out FILE` packs
-// the daily timeline straight to disk through a snapstore.StreamWriter
-// instead of materializing it, so resident memory is bounded by the
+// Streaming generation: `sangen -model gplus -stream-out PREFIX` packs
+// one simulation's timeline pair straight to disk, the full SAN to
+// PREFIX.full.tl and its crawl view to PREFIX.view.tl (the pair
+// `sanserve -mount` takes), through two snapstore.StreamWriters
+// instead of materializing them, so resident memory is bounded by the
 // live network regardless of horizon or scale.  `-checkpoint-every N`
 // additionally persists the complete simulator state every N days into
-// FILE.ckpt/; a killed run continues with `sangen -resume FILE.ckpt`
-// and produces a final file bitwise-identical to an uninterrupted run.
+// PREFIX.ckpt/; a killed run continues with `sangen -resume
+// PREFIX.ckpt` and produces both files bitwise-identical to an
+// uninterrupted run.
 
-// ckptMagic identifies a sangen checkpoint file; the trailing byte is
-// the format version.
+// ckptMagic identifies a sangen checkpoint file.  Its trailing byte
+// versions the framing (magic, header length, JSON header); the
+// header's version field versions what the checkpoint records.
 var ckptMagic = []byte{'S', 'A', 'N', 'C', 'K', 1}
+
+// ckptVersion is the checkpoint layout written and resumed: version 2
+// records both writers of the full+view pair.  Version 1 checkpoints,
+// which recorded one writer of either role, are refused.
+const ckptVersion = 2
 
 // ckptFile is the single file inside the checkpoint directory.
 const ckptFile = "checkpoint.bin"
 
 // ckptMeta is the checkpoint's JSON header: everything the resume path
 // needs before it can decode the simulator state that follows it —
-// where the stream lives, how far it got, and the exact configuration
-// (the state codec deliberately does not embed it).
+// where the stream lives, how far each writer got, and the exact
+// configuration (the state codec deliberately does not embed it).
 type ckptMeta struct {
 	Version     int          `json:"version"`
 	Day         int          `json:"day"`
-	Observed    bool         `json:"observed"`
 	StreamOut   string       `json:"stream_out"`
 	Every       int          `json:"checkpoint_every"`
-	DayLens     []int        `json:"day_lens"`
-	PackedBytes int          `json:"packed_bytes"`
+	FullDayLens []int        `json:"full_day_lens"`
+	ViewDayLens []int        `json:"view_day_lens"`
 	Config      gplus.Config `json:"config"`
 }
 
 // streamRun drives one streaming simulation segment (fresh or resumed)
 // to its stop day, checkpointing along the way.
 type streamRun struct {
-	sim       *gplus.Simulator
-	w         *snapstore.StreamWriter
-	out       string // final timeline path
-	ckptDir   string
-	observed  bool
-	every     int    // checkpoint cadence in days; 0 = never
-	serveAddr string // with -serve: live /v1/stream tail address
+	sim        *gplus.Simulator
+	full, view *snapstore.StreamWriter
+	prefix     string // -stream-out PREFIX
+	ckptDir    string
+	every      int    // checkpoint cadence in days; 0 = never
+	serveAddr  string // with -serve: live /v1/stream tail address
 }
 
 // runStream starts a fresh streaming generation.
-func runStream(cfg gplus.Config, out string, observed bool, every, stopAfter int, progress bool, serveAddr string) error {
-	w, err := snapstore.NewStreamWriter(out)
+func runStream(cfg gplus.Config, prefix string, every, stopAfter int, progress bool, serveAddr string) error {
+	fullPath, viewPath := scenario.PairFiles(prefix)
+	full, err := snapstore.NewStreamWriter(fullPath)
 	if err != nil {
+		return err
+	}
+	view, err := snapstore.NewStreamWriter(viewPath)
+	if err != nil {
+		full.Abort()
 		return err
 	}
 	r := &streamRun{
 		sim:       gplus.New(cfg),
-		w:         w,
-		out:       out,
-		ckptDir:   out + ".ckpt",
-		observed:  observed,
+		full:      full,
+		view:      view,
+		prefix:    prefix,
+		ckptDir:   prefix + ".ckpt",
 		every:     every,
 		serveAddr: serveAddr,
 	}
@@ -84,9 +98,9 @@ func runStream(cfg gplus.Config, out string, observed bool, every, stopAfter int
 }
 
 // runResume continues a streaming generation from a checkpoint
-// directory.  Configuration, output path and cadence all come from the
-// checkpoint; only -stop-after, -progress and -serve apply to the new
-// segment.
+// directory.  Configuration, output prefix and cadence all come from
+// the checkpoint; only -stop-after, -progress and -serve apply to the
+// new segment.
 func runResume(dir string, stopAfter int, progress bool, serveAddr string) error {
 	meta, state, err := openCheckpoint(dir)
 	if err != nil {
@@ -100,22 +114,24 @@ func runResume(dir string, stopAfter int, progress bool, serveAddr string) error
 	if sim.Day() != meta.Day {
 		return fmt.Errorf("resume: checkpoint header says day %d, state says day %d", meta.Day, sim.Day())
 	}
-	// The stream encoder resumes against the network the *sink* last
-	// saw: the crawl view for observed streams, the full SAN otherwise.
-	last := sim.G
-	if meta.Observed {
-		last = sim.CrawlView()
-	}
-	w, err := snapstore.ResumeStreamWriter(meta.StreamOut, meta.DayLens, last)
+	// Each delta encoder resumes against the network its writer last
+	// packed: the full SAN, and the crawl view of it.
+	fullPath, viewPath := scenario.PairFiles(meta.StreamOut)
+	full, err := snapstore.ResumeStreamWriter(fullPath, meta.FullDayLens, sim.G)
 	if err != nil {
+		return fmt.Errorf("resume: %w", err)
+	}
+	view, err := snapstore.ResumeStreamWriter(viewPath, meta.ViewDayLens, sim.CrawlView())
+	if err != nil {
+		full.Close()
 		return fmt.Errorf("resume: %w", err)
 	}
 	r := &streamRun{
 		sim:       sim,
-		w:         w,
-		out:       meta.StreamOut,
+		full:      full,
+		view:      view,
+		prefix:    meta.StreamOut,
 		ckptDir:   dir,
-		observed:  meta.Observed,
 		every:     meta.Every,
 		serveAddr: serveAddr,
 	}
@@ -123,13 +139,17 @@ func runResume(dir string, stopAfter int, progress bool, serveAddr string) error
 }
 
 func (r *streamRun) run(startDay, stopAfter int, progress bool) error {
+	writers := []*snapstore.StreamWriter{r.full, r.view}
 	// On any exit short of Finalize: with checkpointing on, keep the
-	// spill (the latest checkpoint can resume it); without, remove it.
+	// spills (the latest checkpoint can resume them); without, remove
+	// them.
 	defer func() {
-		if r.every > 0 {
-			r.w.Close()
-		} else {
-			r.w.Abort()
+		for _, w := range writers {
+			if r.every > 0 {
+				w.Close()
+			} else {
+				w.Abort()
+			}
 		}
 	}()
 	cfg := r.sim.Cfg
@@ -148,12 +168,13 @@ func (r *streamRun) run(startDay, stopAfter int, progress bool) error {
 	if stopAfter > 0 && stopAfter < cfg.Days {
 		stopDay = stopAfter
 	}
-	fullSink, viewSink := r.fullSink(), r.viewSink()
+	var fullSink snapstore.DaySink = r.full
 	if r.serveAddr != "" {
-		// -serve: tee the packed stream into an in-memory live timeline
-		// and mount it on an HTTP server, so /v1/stream tails the
-		// simulation while it runs.  Finish releases tailing clients at
-		// the end of this segment; stopServe then drains and shuts down.
+		// -serve: tee the packed full stream into an in-memory live
+		// timeline and mount it on an HTTP server, so /v1/stream tails
+		// the simulation while it runs.  Finish releases tailing clients
+		// at the end of this segment; stopServe then drains and shuts
+		// down.
 		live := snapstore.NewLive()
 		stopServe, err := serveLive(r.serveAddr, live)
 		if err != nil {
@@ -161,20 +182,18 @@ func (r *streamRun) run(startDay, stopAfter int, progress bool) error {
 		}
 		defer stopServe()
 		defer live.Finish()
-		if r.observed {
-			viewSink = snapstore.Tee(viewSink, live)
-		} else {
-			fullSink = snapstore.Tee(fullSink, live)
-		}
+		fullSink = snapstore.Tee(fullSink, live)
 	}
-	err := r.sim.StreamTimelines(startDay, stopDay, fullSink, viewSink, func(day int, _, _ *san.SAN) error {
+	err := r.sim.StreamTimelines(startDay, stopDay, fullSink, r.view, func(day int, _, _ *san.SAN) error {
 		if r.every <= 0 || day >= cfg.Days || (day%r.every != 0 && day != stopDay) {
 			return nil
 		}
-		// Durability barrier: the spill must hold every checkpointed
+		// Durability barrier: both spills must hold every checkpointed
 		// day before the state that claims them reaches disk.
-		if err := r.w.Flush(); err != nil {
-			return err
+		for _, w := range writers {
+			if err := w.Flush(); err != nil {
+				return err
+			}
 		}
 		return r.writeCheckpoint()
 	})
@@ -190,8 +209,10 @@ func (r *streamRun) run(startDay, stopAfter int, progress bool) error {
 			stopDay, cfg.Days, r.ckptDir)
 		return nil
 	}
-	if err := r.w.Finalize(); err != nil {
-		return err
+	for _, w := range writers {
+		if err := w.Finalize(); err != nil {
+			return err
+		}
 	}
 	if r.every > 0 {
 		if err := os.RemoveAll(r.ckptDir); err != nil {
@@ -199,23 +220,10 @@ func (r *streamRun) run(startDay, stopAfter int, progress bool) error {
 		}
 	}
 	g := r.sim.G
-	fmt.Fprintf(os.Stderr, "sangen: %d social nodes, %d social links, %d attribute nodes, %d attribute links; %d days packed to %s (%.1f MiB)\n",
-		g.NumSocial(), g.NumSocialEdges(), g.NumAttrs(), g.NumAttrEdges(),
-		r.w.NumDays(), r.out, float64(r.w.PackedBytes())/(1<<20))
-	return nil
-}
-
-func (r *streamRun) fullSink() snapstore.DaySink {
-	if r.observed {
-		return nil
-	}
-	return r.w
-}
-
-func (r *streamRun) viewSink() snapstore.DaySink {
-	if r.observed {
-		return r.w
-	}
+	fullPath, viewPath := scenario.PairFiles(r.prefix)
+	fmt.Fprintf(os.Stderr, "sangen: %d social nodes, %d social links, %d attribute nodes, %d attribute links; %d days packed to %s (%.1f MiB) and %s (%.1f MiB)\n",
+		g.NumSocial(), g.NumSocialEdges(), g.NumAttrs(), g.NumAttrEdges(), r.full.NumDays(),
+		fullPath, float64(r.full.PackedBytes())/(1<<20), viewPath, float64(r.view.PackedBytes())/(1<<20))
 	return nil
 }
 
@@ -227,13 +235,12 @@ func (r *streamRun) writeCheckpoint() error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	meta := ckptMeta{
-		Version:     1,
+		Version:     ckptVersion,
 		Day:         r.sim.Day(),
-		Observed:    r.observed,
-		StreamOut:   r.out,
+		StreamOut:   r.prefix,
 		Every:       r.every,
-		DayLens:     r.w.DayLens(),
-		PackedBytes: r.w.PackedBytes(),
+		FullDayLens: r.full.DayLens(),
+		ViewDayLens: r.view.DayLens(),
 		Config:      r.sim.Cfg,
 	}
 	metaJSON, err := json.Marshal(meta)
@@ -282,11 +289,12 @@ func openCheckpoint(dir string) (ckptMeta, io.ReadCloser, error) {
 	if err := json.Unmarshal(metaJSON, &meta); err != nil {
 		return fail(fmt.Errorf("resume: corrupt checkpoint header: %w", err))
 	}
-	if meta.Version != 1 {
+	if meta.Version != ckptVersion {
 		return fail(fmt.Errorf("resume: unsupported checkpoint version %d", meta.Version))
 	}
-	if meta.Day < 1 || len(meta.DayLens) != meta.Day {
-		return fail(fmt.Errorf("resume: checkpoint header inconsistent: day %d with %d recorded day records", meta.Day, len(meta.DayLens)))
+	if meta.Day < 1 || len(meta.FullDayLens) != meta.Day || len(meta.ViewDayLens) != meta.Day {
+		return fail(fmt.Errorf("resume: checkpoint header inconsistent: day %d with %d full and %d view day records",
+			meta.Day, len(meta.FullDayLens), len(meta.ViewDayLens)))
 	}
 	return meta, readCloser{br, f}, nil
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -10,74 +12,81 @@ import (
 	"testing"
 
 	"repro/internal/gplus"
+	"repro/internal/scenario"
 	"repro/internal/snapstore"
 )
 
 // TestStreamKillResumeBitwiseIdentical is the CLI acceptance path for
 // checkpoint/resume: a run interrupted at day 30 (the deterministic
 // stand-in for a kill) and resumed from its checkpoint directory must
-// finalize to a file bitwise-identical to an uninterrupted run.  The
-// -observed case resumes a crawl-view stream, whose encoder is
-// re-seeded from the restored simulator's crawl view.
+// finalize both files of the pair bitwise-identical to an
+// uninterrupted run.  The full subtest compares the full timeline,
+// whose encoder is re-seeded from the restored simulator's SAN; the
+// observed subtest compares the crawl-view timeline, whose encoder is
+// re-seeded from the restored crawl view.
 func TestStreamKillResumeBitwiseIdentical(t *testing.T) {
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref")
+	got := filepath.Join(dir, "got")
+	var buf bytes.Buffer
+
+	base := []string{"-model", "gplus", "-scale", "3", "-seed", "7"}
+	if err := runGenerate(append(base, "-stream-out", ref), &buf); err != nil {
+		t.Fatalf("uninterrupted stream: %v", err)
+	}
+	err := runGenerate(append(base, "-stream-out", got, "-checkpoint-every", "10", "-stop-after", "30"), &buf)
+	if err != nil {
+		t.Fatalf("interrupted stream: %v", err)
+	}
+	gotFull, gotView := scenario.PairFiles(got)
+	for _, p := range []string{gotFull, gotView} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("interrupted run published %s (stat err: %v)", filepath.Base(p), err)
+		}
+	}
+	ckptDir := got + ".ckpt"
+	if _, err := os.Stat(filepath.Join(ckptDir, ckptFile)); err != nil {
+		t.Fatalf("interrupted run left no checkpoint: %v", err)
+	}
+
+	if err := runGenerate([]string{"-resume", ckptDir}, &buf); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	refFull, refView := scenario.PairFiles(ref)
 	for _, c := range []struct {
-		name  string
-		extra []string
+		name      string
+		want, got string
 	}{
-		{"full", nil},
-		{"observed", []string{"-observed"}},
+		{"full", refFull, gotFull},
+		{"observed", refView, gotView},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			ref := filepath.Join(dir, "ref.tl")
-			got := filepath.Join(dir, "got.tl")
-			var buf bytes.Buffer
-
-			base := append([]string{"-model", "gplus", "-scale", "3", "-seed", "7"}, c.extra...)
-			if err := runGenerate(append(base, "-stream-out", ref), &buf); err != nil {
-				t.Fatalf("uninterrupted stream: %v", err)
-			}
-			err := runGenerate(append(base, "-stream-out", got, "-checkpoint-every", "10", "-stop-after", "30"), &buf)
-			if err != nil {
-				t.Fatalf("interrupted stream: %v", err)
-			}
-			if _, err := os.Stat(got); !os.IsNotExist(err) {
-				t.Fatalf("interrupted run published a final file (stat err: %v)", err)
-			}
-			ckptDir := got + ".ckpt"
-			if _, err := os.Stat(filepath.Join(ckptDir, ckptFile)); err != nil {
-				t.Fatalf("interrupted run left no checkpoint: %v", err)
-			}
-
-			if err := runGenerate([]string{"-resume", ckptDir}, &buf); err != nil {
-				t.Fatalf("resume: %v", err)
-			}
-			want, err := os.ReadFile(ref)
+			want, err := os.ReadFile(c.want)
 			if err != nil {
 				t.Fatal(err)
 			}
-			have, err := os.ReadFile(got)
+			have, err := os.ReadFile(c.got)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(have, want) {
-				t.Fatalf("resumed run differs from uninterrupted run (%d vs %d bytes)", len(have), len(want))
+				t.Errorf("resumed %s differs from the uninterrupted run (%d vs %d bytes)", filepath.Base(c.got), len(have), len(want))
 			}
-			// A finished run cleans up after itself: no checkpoint, no spill.
-			if _, err := os.Stat(ckptDir); !os.IsNotExist(err) {
-				t.Errorf("checkpoint directory survived a finished run (stat err: %v)", err)
-			}
-			if _, err := os.Stat(got + ".spill"); !os.IsNotExist(err) {
-				t.Errorf("spill file survived a finished run (stat err: %v)", err)
+			// A finished run cleans up after itself: no spill for either file.
+			if _, err := os.Stat(c.got + ".spill"); !os.IsNotExist(err) {
+				t.Errorf("spill of %s survived a finished run (stat err: %v)", filepath.Base(c.got), err)
 			}
 		})
 	}
+	if _, err := os.Stat(ckptDir); !os.IsNotExist(err) {
+		t.Errorf("checkpoint directory survived a finished run (stat err: %v)", err)
+	}
 }
 
-// TestStreamObservedMatchesCrawlView checks that a -stream-out run packs
-// the bytes of the in-memory pack of the same configuration: the full
-// timeline without -observed and the crawl-view timeline with it.
-func TestStreamObservedMatchesCrawlView(t *testing.T) {
+// TestStreamPackPairMatchesRunTimelines checks that one -stream-out run
+// packs both files of the pair with the bytes of the in-memory pack of
+// the same configuration.
+func TestStreamPackPairMatchesRunTimelines(t *testing.T) {
 	cfg := gplus.DefaultConfig()
 	cfg.DailyBase = 3
 	cfg.Seed = 7
@@ -85,22 +94,20 @@ func TestStreamObservedMatchesCrawlView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	base := []string{"-model", "gplus", "-scale", "3", "-seed", "7"}
+	prefix := filepath.Join(t.TempDir(), "pair")
+	var buf bytes.Buffer
+	if err := runGenerate([]string{"-model", "gplus", "-scale", "3", "-seed", "7", "-stream-out", prefix}, &buf); err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	fullPath, viewPath := scenario.PairFiles(prefix)
 	for _, c := range []struct {
-		name  string
-		extra []string
-		want  *snapstore.Timeline
+		path string
+		want *snapstore.Timeline
 	}{
-		{"full", nil, wantFull},
-		{"observed", []string{"-observed"}, wantView},
+		{fullPath, wantFull},
+		{viewPath, wantView},
 	} {
-		path := filepath.Join(dir, c.name+".tl")
-		var buf bytes.Buffer
-		if err := runGenerate(append(append(base, c.extra...), "-stream-out", path), &buf); err != nil {
-			t.Fatalf("%s stream: %v", c.name, err)
-		}
-		have, err := os.ReadFile(path)
+		have, err := os.ReadFile(c.path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +116,7 @@ func TestStreamObservedMatchesCrawlView(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(have, want.Bytes()) {
-			t.Errorf("%s stream (%d bytes) differs from RunTimelines' timeline (%d bytes)", c.name, len(have), want.Len())
+			t.Errorf("%s (%d bytes) differs from RunTimelines' timeline (%d bytes)", filepath.Base(c.path), len(have), want.Len())
 		}
 	}
 	if wantView.Size() >= wantFull.Size() {
@@ -121,22 +128,64 @@ func TestStreamObservedMatchesCrawlView(t *testing.T) {
 // error paths.
 func TestStreamFlagValidation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runGenerate([]string{"-model", "san", "-n", "50", "-stream-out", "x.tl"}, &buf); err == nil ||
+	if err := runGenerate([]string{"-model", "san", "-n", "50", "-stream-out", "x"}, &buf); err == nil ||
 		!strings.Contains(err.Error(), "gplus") {
 		t.Errorf("-stream-out with -model san: got %v", err)
 	}
 	if err := runGenerate([]string{"-model", "gplus", "-checkpoint-every", "5"}, &buf); err == nil {
 		t.Error("-checkpoint-every without -stream-out must fail")
 	}
+	prefix := filepath.Join(t.TempDir(), "obs")
+	if err := runGenerate([]string{"-model", "gplus", "-scale", "3", "-observed", "-stream-out", prefix}, &buf); err == nil ||
+		!strings.Contains(err.Error(), "-observed") {
+		t.Errorf("-observed with -stream-out: got %v", err)
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(prefix)); len(entries) != 0 {
+		t.Errorf("refused -observed run left files behind: %v", entries)
+	}
 	if err := runGenerate([]string{"-resume", filepath.Join(t.TempDir(), "nope")}, &buf); err == nil {
 		t.Error("-resume on a missing directory must fail")
 	}
-	ckpt := t.TempDir()
-	if err := os.WriteFile(filepath.Join(ckpt, ckptFile), []byte("garbage bytes here"), 0o644); err != nil {
-		t.Fatal(err)
+
+	// Bad checkpoints are refused before any simulator state is
+	// decoded: garbage, a version-1 header (one writer of either role),
+	// and day-length lists that disagree with the header's day.
+	header := func(meta any) []byte {
+		metaJSON, err := json.Marshal(meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := append([]byte(nil), ckptMagic...)
+		hdr = binary.AppendUvarint(hdr, uint64(len(metaJSON)))
+		return append(hdr, metaJSON...)
 	}
-	if err := runGenerate([]string{"-resume", ckpt}, &buf); err == nil {
-		t.Error("-resume on a corrupt checkpoint must fail")
+	lens := func(n int) []int { return make([]int, n) }
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"garbage", []byte("garbage bytes here"), "not a sangen checkpoint"},
+		{"version 1", header(map[string]any{
+			"version": 1, "day": 3, "observed": false, "stream_out": "x",
+			"checkpoint_every": 1, "day_lens": lens(3),
+		}), "unsupported checkpoint version 1"},
+		{"view day lengths", header(ckptMeta{
+			Version: ckptVersion, Day: 3, StreamOut: "x", Every: 1,
+			FullDayLens: lens(3), ViewDayLens: lens(2),
+		}), "day 3 with 3 full and 2 view day records"},
+		{"full day lengths", header(ckptMeta{
+			Version: ckptVersion, Day: 3, StreamOut: "x", Every: 1,
+			FullDayLens: lens(4), ViewDayLens: lens(3),
+		}), "day 3 with 4 full and 3 view day records"},
+	} {
+		ckpt := t.TempDir()
+		if err := os.WriteFile(filepath.Join(ckpt, ckptFile), c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := runGenerate([]string{"-resume", ckpt}, &buf); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-resume on a %s checkpoint: got %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command sanserve serves paper figures and snapshot statistics over
-// HTTP from packed snapstore timelines (see `sanstore pack`).
+// HTTP from packed snapstore timelines (see `sangen -stream-out`).
 //
 // Usage:
 //
@@ -109,7 +109,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	switch {
 	case len(mounts) == 0 && *workspace == "":
 		return usageErr("at least one -mount name=full.tl[,view.tl] or -workspace DIR is required\n" +
-			"          (produce timelines with: sanstore pack -out full.tl, or a workspace with: sangen sweep)")
+			"          (produce a pair with: sangen -model gplus -stream-out gplus, or a workspace with: sangen sweep)")
 	case *logFormat != "text" && *logFormat != "json":
 		return usageErr(fmt.Sprintf("-log must be text or json, got %q", *logFormat))
 	case *reloadEvery > 0 && *workspace == "":

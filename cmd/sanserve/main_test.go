@@ -169,7 +169,7 @@ func TestMain(m *testing.M) {
 }
 
 // timelineFile packs a scale-40, 98-day full timeline, seed 7, the
-// file `sanstore pack -scale 40 -seed 7` writes.
+// full file `sangen -model gplus -scale 40 -seed 7 -stream-out` writes.
 func timelineFile(t *testing.T) string {
 	t.Helper()
 	tlOnce.Do(func() {

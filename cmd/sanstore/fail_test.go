@@ -7,24 +7,14 @@ import (
 	"testing"
 )
 
-// TestOutputErrorsPropagate pins the write-error paths of both output
-// commands: pack streaming into an unwritable location and extract
-// renaming over a blocked destination must both fail loudly and leave
-// no partial or temp files — a full disk must never look like success
+// TestOutputErrorsPropagate pins the write-error path of extract:
+// renaming over a blocked destination must fail loudly and leave no
+// partial or temp files — a full disk must never look like success
 // with a silently truncated file.
 func TestOutputErrorsPropagate(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-
-	if err := run("pack", []string{"-out", filepath.Join(dir, "no", "such", "dir.tl"),
-		"-scale", "2", "-days", "2"}, &out); err == nil {
-		t.Error("pack into a missing directory must fail")
-	}
-
-	tlPath := filepath.Join(dir, "mini.tl")
-	if err := run("pack", []string{"-out", tlPath, "-scale", "2", "-days", "3", "-seed", "1"}, &out); err != nil {
-		t.Fatalf("pack: %v", err)
-	}
+	tlPath, _ := packFixture(t, dir, 2, 3, 1)
 
 	blocked := filepath.Join(dir, "blocked.san")
 	if err := os.Mkdir(blocked, 0o755); err != nil {
@@ -38,8 +28,7 @@ func TestOutputErrorsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Exactly the timeline and the blocking directory: no spill, no
-	// temp files.
+	// Exactly the timeline and the blocking directory: no temp files.
 	if len(entries) != 2 {
 		t.Errorf("unexpected files left behind: %v", entries)
 	}

@@ -1,18 +1,16 @@
-// Command sanstore packs, inspects and extracts binary SAN snapshot
-// timelines (the snapstore format).
+// Command sanstore inspects and extracts binary SAN snapshot timelines
+// (the snapstore format).  `sangen -model gplus -stream-out PREFIX`
+// packs them: one run writes PREFIX.full.tl and PREFIX.view.tl.
 //
 // Usage:
 //
-//	sanstore pack -out gplus.tl [-scale 400] [-days 98] [-seed 42] [-observed]
-//	sanstore ls gplus.tl
-//	sanstore stat gplus.tl [-day 98]
-//	sanstore extract gplus.tl -day 49 [-out day49.san]
+//	sanstore ls gplus.full.tl
+//	sanstore stat gplus.full.tl [-day 98]
+//	sanstore extract gplus.full.tl -day 49 [-out day49.san]
 //
-// pack runs the gplus reference simulation and writes every daily
-// snapshot as one delta-encoded timeline file; ls lists the per-day
-// records; stat reconstructs one day and prints its headline metrics;
-// extract writes one reconstructed day in the san text format.  Days
-// are 1-based, matching the simulation calendar.
+// ls lists the per-day records; stat reconstructs one day and prints
+// its headline metrics; extract writes one reconstructed day in the san
+// text format.  Days are 1-based, matching the simulation calendar.
 package main
 
 import (
@@ -23,7 +21,6 @@ import (
 	"os"
 
 	"repro/internal/atomicio"
-	"repro/internal/gplus"
 	"repro/internal/san"
 	"repro/internal/snapstore"
 )
@@ -74,8 +71,6 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 // the end-to-end test share this path.
 func run(cmd string, args []string, w io.Writer) error {
 	switch cmd {
-	case "pack":
-		return runPack(args, w)
 	case "ls":
 		return runLs(args, w)
 	case "stat":
@@ -89,54 +84,10 @@ func run(cmd string, args []string, w io.Writer) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  sanstore pack -out FILE [-scale N] [-days N] [-seed N] [-observed]
   sanstore ls FILE
   sanstore stat FILE [-day N]
   sanstore extract FILE -day N [-out FILE]`)
 	os.Exit(2)
-}
-
-func runPack(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("pack", flag.ContinueOnError)
-	out := fs.String("out", "", "output timeline file (required)")
-	scale := fs.Int("scale", 400, "gplus DailyBase arrival scale")
-	days := fs.Int("days", 98, "number of simulated days")
-	seed := fs.Uint64("seed", 42, "simulation seed")
-	observed := fs.Bool("observed", false, "pack the crawl view (declared attribute links only) instead of the full SAN")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if *out == "" {
-		return fmt.Errorf("pack: -out is required")
-	}
-	cfg := gplus.DefaultConfig()
-	cfg.DailyBase = *scale
-	cfg.Days = *days
-	cfg.Seed = *seed
-	// Stream each day's record to disk as it is packed: memory stays
-	// bounded by the live network, and the finalized file is
-	// byte-identical to the in-memory Timeline encoding.
-	sw, err := snapstore.NewStreamWriter(*out)
-	if err != nil {
-		return err
-	}
-	defer sw.Abort()
-	var full, view snapstore.DaySink
-	if *observed {
-		view = sw
-	} else {
-		full = sw
-	}
-	if err := gplus.New(cfg).StreamTimelines(1, 0, full, view, nil); err != nil {
-		return err
-	}
-	if err := sw.Finalize(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "packed %d days, %d bytes (%.1f bytes/day after day 0) -> %s\n",
-		sw.NumDays(), sw.PackedBytes(),
-		float64(sw.PackedBytes()-sw.DayLen(0))/float64(max(sw.NumDays()-1, 1)), *out)
-	return nil
 }
 
 // openTimeline peels the positional FILE argument off args and loads it.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,25 +13,34 @@ import (
 	"repro/internal/snapstore"
 )
 
+// packFixture writes the full timeline of a small gplus run to dir as
+// mini.tl, the file `sangen -stream-out` packs as PREFIX.full.tl, and
+// returns its path and the in-memory timeline.
+func packFixture(t *testing.T, dir string, scale, days int, seed uint64) (string, *snapstore.Timeline) {
+	t.Helper()
+	cfg := gplus.DefaultConfig()
+	cfg.DailyBase, cfg.Days, cfg.Seed = scale, days, seed
+	full, _, err := gplus.New(cfg).RunTimelines(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "mini.tl")
+	if err := full.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path, full
+}
+
 // TestPackLsStatExtractRoundTrip drives the CLI end to end through
-// the shared run() helper: pack a small timeline to disk, list it,
-// stat a day, extract that day as san text, and check the extracted
-// graph against a direct reconstruction.
+// the shared run() helper: list a small packed timeline, stat a day,
+// extract that day as san text, and check the extracted graph against
+// a direct reconstruction.
 func TestPackLsStatExtractRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	tlPath := filepath.Join(dir, "mini.tl")
+	tlPath, tl := packFixture(t, dir, 5, 8, 3)
 	sanPath := filepath.Join(dir, "day5.san")
 
 	var out bytes.Buffer
-	err := run("pack", []string{"-out", tlPath, "-scale", "5", "-days", "8", "-seed", "3"}, &out)
-	if err != nil {
-		t.Fatalf("pack: %v", err)
-	}
-	if !strings.Contains(out.String(), "packed 8 days") {
-		t.Fatalf("pack report: %q", out.String())
-	}
-
-	out.Reset()
 	if err := run("ls", []string{tlPath}, &out); err != nil {
 		t.Fatalf("ls: %v", err)
 	}
@@ -40,6 +50,9 @@ func TestPackLsStatExtractRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "snapshot") || !strings.Contains(lines[2], "delta") {
 		t.Fatalf("ls kinds wrong:\n%s", out.String())
+	}
+	if want := fmt.Sprintf("total  %10d bytes over 8 days", tl.Size()); lines[9] != want {
+		t.Fatalf("ls total %q, want %q", lines[9], want)
 	}
 
 	out.Reset()
@@ -56,10 +69,6 @@ func TestPackLsStatExtractRoundTrip(t *testing.T) {
 	}
 
 	// The extracted text graph must equal the direct reconstruction.
-	tl, err := snapstore.LoadFile(tlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := tl.ReconstructAt(4)
 	if err != nil {
 		t.Fatal(err)
@@ -74,28 +83,14 @@ func TestPackLsStatExtractRoundTrip(t *testing.T) {
 	if f.Reciprocity() != want.Reciprocity() {
 		t.Errorf("extracted reciprocity %v, want %v", f.Reciprocity(), want.Reciprocity())
 	}
-
-	// And the packed file must match an in-process pack at the same
-	// parameters (the CLI adds no hidden state).
-	cfg := gplus.DefaultConfig()
-	cfg.DailyBase, cfg.Days, cfg.Seed = 5, 8, 3
-	direct, _, err := gplus.New(cfg).RunTimelines(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Size() != tl.Size() || direct.NumDays() != tl.NumDays() {
-		t.Errorf("CLI pack %d bytes/%d days, direct pack %d bytes/%d days",
-			tl.Size(), tl.NumDays(), direct.Size(), direct.NumDays())
-	}
 }
 
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run("bogus", nil, &out); err != errUnknownCommand {
-		t.Errorf("unknown command: got %v", err)
-	}
-	if err := run("pack", []string{"-scale", "5"}, &out); err == nil {
-		t.Error("pack without -out must fail")
+	for _, cmd := range []string{"bogus", "pack"} {
+		if err := run(cmd, nil, &out); err != errUnknownCommand {
+			t.Errorf("%s: got %v, want errUnknownCommand", cmd, err)
+		}
 	}
 	if err := run("ls", []string{filepath.Join(t.TempDir(), "missing.tl")}, &out); err == nil {
 		t.Error("ls on a missing file must fail")
@@ -117,11 +112,14 @@ func openSANFile(path string) (*san.SAN, error) {
 // TestFlagParseErrorsReturn pins that subcommand flag errors and -h come
 // back from run as values (exit codes 2 and 0) instead of exiting.
 func TestFlagParseErrorsReturn(t *testing.T) {
+	tlPath, _ := packFixture(t, t.TempDir(), 2, 3, 1)
 	var out bytes.Buffer
-	if err := run("pack", []string{"-bogus"}, &out); exitCode(err) != 2 {
-		t.Errorf("pack -bogus: err = %v, exit code %d, want 2", err, exitCode(err))
-	}
-	if err := run("pack", []string{"-h"}, &out); err == nil || exitCode(err) != 0 {
-		t.Errorf("pack -h: err = %v, exit code %d, want ErrHelp and 0", err, exitCode(err))
+	for _, cmd := range []string{"stat", "extract"} {
+		if err := run(cmd, []string{tlPath, "-bogus"}, &out); exitCode(err) != 2 {
+			t.Errorf("%s -bogus: err = %v, exit code %d, want 2", cmd, err, exitCode(err))
+		}
+		if err := run(cmd, []string{tlPath, "-h"}, &out); err == nil || exitCode(err) != 0 {
+			t.Errorf("%s -h: err = %v, exit code %d, want ErrHelp and 0", cmd, err, exitCode(err))
+		}
 	}
 }

@@ -76,11 +76,11 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 }
 
 // TestCheckpointResumeRunFrom covers the non-streaming resume path:
-// Run to the horizon vs checkpoint + runRange over the remaining days,
+// a whole run vs checkpoint + runRange over the remaining days,
 // compared via snapshots.
 func TestCheckpointResumeRunFrom(t *testing.T) {
 	cfg := ckptConfig()
-	want := New(cfg).Run(nil)
+	want := simulate(t, cfg)
 
 	const k = 17
 	first := New(cfg)
@@ -96,7 +96,7 @@ func TestCheckpointResumeRunFrom(t *testing.T) {
 	got := resumed.runRange(k+1, cfg.Days, nil)
 
 	if !bytes.Equal(snapstore.EncodeSnapshot(want, nil), snapstore.EncodeSnapshot(got, nil)) {
-		t.Errorf("resumed Run diverges from uninterrupted Run")
+		t.Errorf("resumed run diverges from the uninterrupted run")
 	}
 }
 

@@ -293,11 +293,12 @@ type Simulator struct {
 	G   *san.SAN
 	Rng *rand.Rand
 
-	// Progress, when set before Run, receives per-day growth counts
-	// (days/nodes/links; RunTimelines adds packed-delta counts), so
-	// long runs are observable while they execute.  It is not part of
-	// Config: it carries no simulation semantics and never affects the
-	// config digest or the output.
+	// Progress, when set before StreamTimelines or RunTimelines,
+	// receives per-day growth counts (days/nodes/links, plus packed
+	// deltas and bytes when sinks are given), so long runs are
+	// observable while they execute.  It is not part of Config: it
+	// carries no simulation semantics and never affects the config
+	// digest or the output.
 	Progress *obs.Progress
 
 	attacher *core.Attacher
@@ -365,24 +366,6 @@ func NewWithScratch(cfg Config, sc *Scratch) *Simulator {
 		}
 	}
 	return s
-}
-
-// Run simulates all configured days; perDay (optional) observes the
-// network at the end of each day, mirroring the daily crawl snapshots.
-func (s *Simulator) Run(perDay func(day int, g *san.SAN)) *san.SAN {
-	return s.runRange(1, s.Cfg.Days, observe(perDay))
-}
-
-// observe adapts a pure observer callback to runRange's continue-bool
-// form.
-func observe(perDay func(day int, g *san.SAN)) func(day int, g *san.SAN) bool {
-	if perDay == nil {
-		return nil
-	}
-	return func(day int, g *san.SAN) bool {
-		perDay(day, g)
-		return true
-	}
 }
 
 // runRange simulates days startDay..stopDay inclusive.  A perDay

@@ -31,12 +31,13 @@ func fixture(t *testing.T) (*Simulator, *san.SAN) {
 		sim := New(cfg)
 		fixtureRecip = make(map[int]float64)
 		fixtureAssort = make(map[int]float64)
-		sim.Run(func(day int, g *san.SAN) {
+		sim.StreamTimelines(1, 0, nil, nil, func(day int, g, _ *san.SAN) error {
 			switch day {
 			case 20, 50, 75, 98:
 				fixtureRecip[day] = g.Reciprocity()
 				fixtureAssort[day] = metrics.SocialAssortativity(g)
 			}
+			return nil
 		})
 		fixtureSim = sim
 		fixtureView = sim.CrawlView()
@@ -244,11 +245,15 @@ func TestSharedAttributeReciprocity(t *testing.T) {
 	cfg.Seed = 7
 	sim := New(cfg)
 	var half *san.SAN
-	sim.Run(func(day int, g *san.SAN) {
+	err := sim.StreamTimelines(1, 0, nil, nil, func(day int, g, _ *san.SAN) error {
 		if day == 49 {
 			half = g.Clone()
 		}
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	final := sim.G
 	buckets := metrics.FineGrainedReciprocity(half, final, 30)
 	classes := metrics.ReciprocityByAttrClass(buckets, 30, 31) // one bin per class
@@ -271,7 +276,10 @@ func TestTraceRecordingReplays(t *testing.T) {
 	cfg.DailyBase = 40
 	cfg.Record = &trace.Trace{}
 	sim := New(cfg)
-	g := sim.Run(nil)
+	if err := sim.StreamTimelines(1, 0, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	g := sim.G
 	replayed := cfg.Record.Replay(nil)
 	if replayed.NumSocial() != g.NumSocial() || replayed.NumSocialEdges() != g.NumSocialEdges() {
 		t.Errorf("replay = %+v, want %+v", replayed.Stats(), g.Stats())
@@ -281,17 +289,27 @@ func TestTraceRecordingReplays(t *testing.T) {
 	}
 }
 
+// simulate runs cfg over its whole horizon with no sinks and returns
+// the final SAN.
+func simulate(t *testing.T, cfg Config) *san.SAN {
+	t.Helper()
+	sim := New(cfg)
+	if err := sim.StreamTimelines(1, 0, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	return sim.G
+}
+
 func TestDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DailyBase = 30
-	a := New(cfg).Run(nil)
-	b := New(cfg).Run(nil)
+	a, b := simulate(t, cfg), simulate(t, cfg)
 	if a.NumSocialEdges() != b.NumSocialEdges() || a.NumAttrEdges() != b.NumAttrEdges() {
 		t.Errorf("same seed differs: (%d,%d) vs (%d,%d)",
 			a.NumSocialEdges(), a.NumAttrEdges(), b.NumSocialEdges(), b.NumAttrEdges())
 	}
 	cfg.Seed = 1234
-	c := New(cfg).Run(nil)
+	c := simulate(t, cfg)
 	if c.NumSocialEdges() == a.NumSocialEdges() {
 		t.Log("note: different seeds produced equal edge counts (possible but unlikely)")
 	}
@@ -321,9 +339,7 @@ func TestStrayFocalTypeWeightKeyIgnored(t *testing.T) {
 	cfg.Days = 5
 	cfg.Phase1End, cfg.Phase2End = 2, 4
 	cfg.FocalTypeWeight[san.AttrType(9)] = 0.5
-	sim := New(cfg)
-	sim.Run(nil)
-	if sim.G.NumSocial() == 0 {
+	if simulate(t, cfg).NumSocial() == 0 {
 		t.Fatal("simulation produced no users")
 	}
 }

@@ -1,10 +1,9 @@
 package hll
 
 import (
-	"sort"
-
 	"repro/internal/par"
 	"repro/internal/san"
+	"repro/internal/stats"
 )
 
 // sweepRange is the number of nodes in one range of the parallel
@@ -206,20 +205,5 @@ func EffectiveAttrDiameter(g *san.SAN, k int, q float64, pick func(i int) san.At
 	if len(dists) == 0 {
 		return 0
 	}
-	return percentile(dists, q*100)
-}
-
-func percentile(xs []float64, q float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := q / 100 * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return stats.Percentile(dists, q*100)
 }

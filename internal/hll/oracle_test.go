@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand/v2"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gplus"
 	"repro/internal/san"
+	"repro/internal/stats"
 )
 
 // refCounter is the byte-per-register HyperLogLog counter that Counter
@@ -180,15 +183,19 @@ func TestHyperANFMatchesOracle(t *testing.T) {
 		cfg.Seed = 1
 		days := map[int]bool{7: true, 21: true, 42: true, 70: true, 98: true}
 		ran := 0
-		gplus.New(cfg).Run(func(day int, g *san.SAN) {
+		err := gplus.New(cfg).StreamTimelines(1, 0, nil, nil, func(day int, g, _ *san.SAN) error {
 			if !days[day] {
-				return
+				return nil
 			}
 			ran++
 			for _, p := range []uint8{5, 7} {
 				requireSameN(t, fmt.Sprintf("gplus day %d", day), g, Options{Precision: p, Seed: uint64(day)})
 			}
+			return nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ran != len(days) {
 			t.Fatalf("checked %d gplus days, want %d", ran, len(days))
 		}
@@ -387,5 +394,41 @@ func TestHyperANFMatchesSerial(t *testing.T) {
 				}
 			}
 		}()
+	}
+}
+
+// refPercentile is the interpolated percentile EffectiveAttrDiameter
+// computed before it called stats.Percentile, kept as the reference.
+func refPercentile(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if len(s) == 1 {
+		return s[0]
+	}
+	pos := q / 100 * float64(len(s)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+// TestAttrDiameterPercentileMatchesOracle pins that stats.Percentile
+// returns refPercentile's bits on attribute-distance samples (small
+// positive integers), at the quantiles the figures use and at the ends.
+func TestAttrDiameterPercentileMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	for trial := 0; trial < 500; trial++ {
+		xs := make([]float64, 1+rng.IntN(300))
+		for i := range xs {
+			xs[i] = float64(1 + rng.IntN(12))
+		}
+		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+			want, got := refPercentile(xs, q*100), stats.Percentile(xs, q*100)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d, n=%d, q=%v: stats.Percentile %v, reference %v", trial, len(xs), q, got, want)
+			}
+		}
 	}
 }

@@ -107,7 +107,11 @@ func estimatorGraphs(t *testing.T) map[string]*san.SAN {
 	cfg.DailyBase = 30
 	cfg.Days = 20
 	cfg.Seed = 3
-	day := gplus.New(cfg).Run(nil)
+	sim := gplus.New(cfg)
+	if err := sim.StreamTimelines(1, 0, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	day := sim.G
 
 	small := san.New(6, 3, 8)
 	small.AddSocialNodes(6) // node 5 stays isolated, node 4 has one neighbor

@@ -115,14 +115,14 @@ func AttrAssortativity(g *san.SAN) float64 {
 }
 
 // pearsonOver computes the Pearson correlation of n pairs with integer
-// sums sx = Σx and sy = Σy, delivered by an iterator for the moments,
-// mirroring stats.Pearson's two-pass formula without materializing the
-// sample.  The means are the sums over n: a float sum of the
-// integer-valued pairs is exact while every partial sum stays below
-// 2^53, which holds whenever n · max degree < 2^53, so taking them from
-// integer sums gives the two-pass means bit for bit.  metrics stays
-// free of the stats dependency (metrics is a measurement layer; stats
-// is a modeling one).
+// sums sx = Σx and sy = Σy, delivered by an iterator for the moments:
+// the two-pass formula (means, then centered moments) without
+// materializing the sample.  The means are the sums over n: a float
+// sum of the integer-valued pairs is exact while every partial sum
+// stays below 2^53, which holds whenever n · max degree < 2^53, so
+// taking them from integer sums gives the two-pass means bit for bit.
+// metrics stays free of the stats dependency (metrics is a measurement
+// layer; stats is a modeling one).
 func pearsonOver(n, sx, sy int, each func(visit func(x, y float64))) float64 {
 	if n == 0 {
 		return 0

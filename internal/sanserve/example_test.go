@@ -15,7 +15,7 @@ import (
 // and query a figure over HTTP.  Outside of tests the same handler is
 // served by `sanserve -mount demo=demo.tl`.
 func ExampleServer() {
-	// Pack a tiny simulated evolution (stands in for `sanstore pack`).
+	// Pack a tiny simulated evolution (stands in for `sangen -stream-out`).
 	cfg := gplus.DefaultConfig()
 	cfg.DailyBase = 4
 	cfg.Days = 6

@@ -25,6 +25,13 @@ import (
 // ManifestFile is the workspace index file name.
 const ManifestFile = "manifest.json"
 
+// PairFiles names the packed timeline pair of one run from a path
+// prefix: PREFIX.full.tl for the full SAN and PREFIX.view.tl for its
+// crawl view.  Workspace runs and `sangen -stream-out` both use it.
+func PairFiles(prefix string) (full, view string) {
+	return prefix + ".full.tl", prefix + ".view.tl"
+}
+
 // manifestVersion guards against future layout changes.
 const manifestVersion = 1
 
@@ -245,9 +252,8 @@ func runOne(ctx context.Context, dir string, s Scenario, cfg gplus.Config, scrat
 		Title:        s.Title,
 		Seed:         cfg.Seed,
 		ConfigDigest: Digest(cfg),
-		FullFile:     s.Name + ".full.tl",
-		ViewFile:     s.Name + ".view.tl",
 	}
+	run.FullFile, run.ViewFile = PairFiles(s.Name)
 	full, err := snapstore.NewStreamWriter(filepath.Join(dir, run.FullFile))
 	if err != nil {
 		return Run{}, fmt.Errorf("scenario %q: %w", s.Name, err)

@@ -75,7 +75,9 @@ func BenchmarkTimelineLoad(b *testing.B) {
 func BenchmarkResimulateFinalDay(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		gplus.New(benchCfg()).Run(nil)
+		if err := gplus.New(benchCfg()).StreamTimelines(1, 0, nil, nil, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

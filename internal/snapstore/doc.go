@@ -23,5 +23,6 @@
 // internal/gplus emits timelines directly from the reference
 // simulation (Simulator.StreamTimelines), internal/experiments computes
 // its evolution figures by walking a packed timeline pair with a
-// cursor, and cmd/sanstore packs, inspects and extracts timeline files.
+// cursor, cmd/sangen streams a run's full+view pair to disk, and
+// cmd/sanstore inspects and extracts timeline files.
 package snapstore

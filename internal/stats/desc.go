@@ -70,25 +70,6 @@ func PercentilesInt(data []int, qs ...float64) []float64 {
 	return out
 }
 
-// Pearson returns the Pearson correlation coefficient of the paired
-// samples, or 0 when either side has zero variance.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0
-	}
-	mx, sx := MeanStd(xs)
-	my, sy := MeanStd(ys)
-	if sx < 1e-12 || sy < 1e-12 {
-		return 0
-	}
-	var cov float64
-	for i := range xs {
-		cov += (xs[i] - mx) * (ys[i] - my)
-	}
-	cov /= float64(len(xs))
-	return cov / (sx * sy)
-}
-
 // PMFPoint is one point of an empirical probability mass function.
 type PMFPoint struct {
 	K int     // value (e.g. degree)
@@ -106,28 +87,6 @@ func PMF(data []int) []PMFPoint {
 	out := make([]PMFPoint, len(counts))
 	for i, vc := range counts {
 		out[i] = PMFPoint{K: vc.k, P: float64(vc.c) / float64(n)}
-	}
-	return out
-}
-
-// CCDFPoint is one point of an empirical complementary CDF.
-type CCDFPoint struct {
-	K int
-	P float64 // P(X >= K)
-}
-
-// CCDF returns the empirical complementary CDF P(X >= k) at every
-// distinct value k >= 1 in the data.
-func CCDF(data []int) []CCDFPoint {
-	counts, n := tally(data)
-	if n == 0 {
-		return nil
-	}
-	out := make([]CCDFPoint, len(counts))
-	remaining := n
-	for i, vc := range counts {
-		out[i] = CCDFPoint{K: vc.k, P: float64(remaining) / float64(n)}
-		remaining -= vc.c
 	}
 	return out
 }
